@@ -504,14 +504,6 @@ def _add_point_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="measure host<->device (PCIe) streams instead of global memory",
     )
-    parser.add_argument(
-        "--exec-lane",
-        default="auto",
-        choices=["auto", "vectorized", "compiled", "interp"],
-        help="functional execution lane (default: auto = whole-NDRange "
-        "array lane, falling back to compiled closures, then the "
-        "interpreter); forcing a lane is a debugging/differential aid",
-    )
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -683,7 +675,6 @@ def _make_runner(args: argparse.Namespace, ntimes: int) -> BenchmarkRunner:
         faults=faults,
         watchdog=watchdog,
         retries=getattr(args, "retries", 2),
-        exec_lane=getattr(args, "exec_lane", "auto"),
     )
 
 

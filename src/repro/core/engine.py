@@ -286,7 +286,6 @@ class WorkerSpec:
     retries: int
     backoff_s: float
     backoff_cap_s: float
-    exec_lane: str = "auto"
 
 
 class ExecutionEngine:
@@ -307,20 +306,13 @@ class ExecutionEngine:
         retries: int = 2,
         backoff_s: float = 0.05,
         backoff_cap_s: float = 1.0,
-        exec_lane: str = "auto",
     ):
-        from ..ocl.queue import EXEC_LANES
-
         if isinstance(device, str):
             device = find_device(device)
         if ntimes < 1:
             raise BenchmarkError(f"ntimes must be >= 1, got {ntimes}")
         if retries < 0:
             raise BenchmarkError(f"retries must be >= 0, got {retries}")
-        if exec_lane not in EXEC_LANES:
-            raise BenchmarkError(
-                f"exec_lane must be one of {EXEC_LANES}, got {exec_lane!r}"
-            )
         self.device = device
         self.ntimes = ntimes
         self.warmup = warmup
@@ -338,7 +330,6 @@ class ExecutionEngine:
         self.retries = retries
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
-        self.exec_lane = exec_lane
         self._ctx: Context | None = None
         self._queue: CommandQueue | None = None
         #: one-shot functional results from a slot-batched array pass,
@@ -366,7 +357,6 @@ class ExecutionEngine:
             retries=self.retries,
             backoff_s=self.backoff_s,
             backoff_cap_s=self.backoff_cap_s,
-            exec_lane=self.exec_lane,
         )
 
     def worker_spec(self) -> WorkerSpec:
@@ -383,7 +373,6 @@ class ExecutionEngine:
             retries=self.retries,
             backoff_s=self.backoff_s,
             backoff_cap_s=self.backoff_cap_s,
-            exec_lane=self.exec_lane,
         )
 
     @classmethod
@@ -407,7 +396,6 @@ class ExecutionEngine:
             retries=spec.retries,
             backoff_s=spec.backoff_s,
             backoff_cap_s=spec.backoff_cap_s,
-            exec_lane=spec.exec_lane,
         )
 
     # -- public API -----------------------------------------------------------
@@ -545,16 +533,10 @@ class ExecutionEngine:
         retries, observability, validation, timing and fingerprints;
         the primed result only spares the redundant re-execution).
         Results come back in input order. Any ineligibility — fault
-        injection active, host-locus points, a forced non-array lane,
-        reductions, a kernel the array lane refuses — silently degrades
-        to per-point execution.
+        injection active, host-locus points, reductions, a kernel the
+        array lane refuses — silently degrades to per-point execution.
         """
-        batchable = (
-            len(points) > 1
-            and self.faults is None
-            and self.exec_lane in ("auto", "vectorized")
-        )
-        if batchable:
+        if len(points) > 1 and self.faults is None:
             groups: dict[tuple, list[TuningParameters]] = {}
             for params in points:
                 sig = self._batch_signature(params)
@@ -1013,7 +995,6 @@ class ExecutionEngine:
             self._ctx = Context(self.device)
             self._queue = CommandQueue(self._ctx, self.device)
         assert self._queue is not None
-        self._queue.exec_lane = self.exec_lane
         self._queue.reset_profile()
         return self._ctx, self._queue
 

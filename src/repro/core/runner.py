@@ -60,7 +60,6 @@ class BenchmarkRunner:
         faults: FaultPlan | None = None,
         watchdog: Watchdog | None = None,
         retries: int = 2,
-        exec_lane: str = "auto",
     ):
         self.engine = ExecutionEngine(
             device,
@@ -72,7 +71,6 @@ class BenchmarkRunner:
             faults=faults,
             watchdog=watchdog,
             retries=retries,
-            exec_lane=exec_lane,
         )
         self.device = self.engine.device
         self.ntimes = ntimes

@@ -7,10 +7,11 @@ enough that the MP-STREAM host code reads like real OpenCL host code:
     Program(source) -> build(device) -> Kernel -> enqueue_nd_range
     Buffer, enqueue_read/write, Event profiling timestamps
 
-Devices execute *functionally* through the OpenCL-C interpreter or the
-vectorized specializer, while their *timing* comes from the attached
-performance model (:mod:`repro.devices`). Event profiling info reports
-the model's virtual time, which is what the benchmark measures.
+Devices execute *functionally* through the whole-NDRange array lane or,
+for kernels it refuses, the OpenCL-C interpreter, while their *timing*
+comes from the attached performance model (:mod:`repro.devices`). Event
+profiling info reports the model's virtual time, which is what the
+benchmark measures.
 """
 
 from __future__ import annotations

@@ -2,10 +2,15 @@
 
 The queue is where functional simulation and performance modelling
 meet: ``enqueue_nd_range_kernel`` *executes* the kernel on the numpy
-buffers (specialized fast path, interpreter fallback) so results can be
-validated, and *times* it by asking the device model — then stamps an
-:class:`~repro.ocl.events.Event` with virtual-clock timestamps, which is
-exactly what the benchmark's host code measures.
+buffers so results can be validated, and *times* it by asking the
+device model — then stamps an :class:`~repro.ocl.events.Event` with
+virtual-clock timestamps, which is exactly what the benchmark's host
+code measures.
+
+Functional execution has two drivers and no knob: the whole-NDRange
+array lane (:class:`~repro.oclc.vectorize.VectorKernel`), and the
+work-item interpreter (:class:`~repro.oclc.interp.KernelInterpreter`)
+for any kernel the array lane refuses, at build or at launch time.
 
 Two scheduling modes, as in OpenCL:
 
@@ -40,24 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .context import Context
     from .platform import Device
 
-__all__ = ["CommandQueue", "EXEC_LANES"]
+__all__ = ["CommandQueue"]
 
 _ENGINES = ("compute", "h2d", "d2h")
-
-#: valid :attr:`CommandQueue.exec_lane` settings and the fallback chain
-#: each implies. ``auto`` prefers the whole-NDRange array lane, drops to
-#: compiled closures when a kernel (or a launch) is ineligible, and to
-#: the tree-walking interpreter as the total fallback; the forced
-#: settings exist for debugging/differential testing and still end at
-#: the interpreter, which executes everything.
-_LANE_ORDER: dict[str, tuple[str, ...]] = {
-    "auto": ("vectorized", "compiled", "interpreted"),
-    "vectorized": ("vectorized", "interpreted"),
-    "compiled": ("compiled", "interpreted"),
-    "interp": ("interpreted",),
-}
-
-EXEC_LANES = tuple(_LANE_ORDER)
 
 
 class CommandQueue:
@@ -85,8 +75,6 @@ class CommandQueue:
         #: per-point command/byte counters; reset by :meth:`reset_profile`
         self.counters: dict[str, float] = self._fresh_counters()
         self._specialized_cache: dict[tuple[int, str], object] = {}
-        #: execution-lane preference, one of :data:`EXEC_LANES`
-        self.exec_lane: str = "auto"
         #: set by :meth:`external_execution`: functional results already
         #: live in the buffers, so :meth:`_execute` must not re-run
         self._skip_execute = False
@@ -352,43 +340,6 @@ class CommandQueue:
             return pointee.dtype
         raise InvalidValueError(f"cannot derive dtype for parameter {name!r}")
 
-    def _lane_order(self) -> tuple[str, ...]:
-        order = _LANE_ORDER.get(self.exec_lane)
-        if order is None:
-            raise InvalidValueError(
-                f"exec_lane must be one of {EXEC_LANES}, got {self.exec_lane!r}"
-            )
-        return order
-
-    @staticmethod
-    def _runner_lane(runner: object) -> str:
-        from ..oclc.compile import CompiledKernel
-        from ..oclc.vectorize import VectorKernel
-
-        if isinstance(runner, VectorKernel):
-            return "vectorized"
-        if isinstance(runner, CompiledKernel):
-            return "compiled"
-        return "interpreted"
-
-    def _build_runner(self, checked: object, name: str, lanes: tuple[str, ...]):
-        """First lane in ``lanes`` whose compile accepts this kernel."""
-        from ..oclc.compile import compile_kernel
-        from ..oclc.interp import KernelInterpreter
-        from ..oclc.vectorize import vectorize_kernel
-
-        factories = {
-            "vectorized": vectorize_kernel,
-            "compiled": compile_kernel,
-            "interpreted": KernelInterpreter,
-        }
-        for lane in lanes[:-1]:
-            try:
-                return factories[lane](checked, name)
-            except UnsupportedKernelError:
-                continue
-        return factories[lanes[-1]](checked, name)
-
     def _execute(
         self,
         kernel: "Kernel",
@@ -400,29 +351,33 @@ class CommandQueue:
             # results were computed externally (engine slot batching)
             obs_metrics.count("fastpath.runs.primed")
             return
+        from ..oclc.interp import KernelInterpreter
+        from ..oclc.vectorize import VectorKernel, vectorize_kernel
+
         checked = kernel.program.checked
         assert checked is not None
-        order = self._lane_order()
         cache_key = (id(checked), kernel.name)
         runner = self._specialized_cache.get(cache_key)
-        if runner is None or self._runner_lane(runner) not in order:
-            runner = self._build_runner(checked, kernel.name, order)
+        if runner is None:
+            try:
+                runner = vectorize_kernel(checked, kernel.name)
+            except UnsupportedKernelError:
+                runner = KernelInterpreter(checked, kernel.name)
             self._specialized_cache[cache_key] = runner
-        while True:
-            lane = self._runner_lane(runner)
+        if isinstance(runner, VectorKernel):
             try:
                 runner.run(global_size, call_args, local_size)
-                break
             except UnsupportedKernelError:
-                # The launch shape/arguments turned out unsupported at
-                # run time: demote to the next lane and retry. The
-                # interpreter is total, so the chain terminates.
-                remaining = order[order.index(lane) + 1 :]
-                if not remaining:
-                    raise
-                runner = self._build_runner(checked, kernel.name, remaining)
+                # this launch's shape or arguments (e.g. an output
+                # aliasing an input) are outside the array lane: the
+                # interpreter runs it, and this kernel from now on
+                runner = KernelInterpreter(checked, kernel.name)
                 self._specialized_cache[cache_key] = runner
-        obs_metrics.count(f"fastpath.runs.{lane}")
+            else:
+                obs_metrics.count("fastpath.runs.vectorized")
+                return
+        runner.run(global_size, call_args, local_size)
+        obs_metrics.count("fastpath.runs.interpreted")
 
     @contextmanager
     def external_execution(self) -> Iterator[None]:

@@ -5,8 +5,8 @@ Typical pipeline::
     from repro.oclc import compile_source
     checked = compile_source(src, defines={"ARRAY_SIZE": "1024"})
     ir = analyze(checked)            # device models consume this
-    fast = specialize(checked)       # vectorized functional execution
-    fast.run((1024,), {...})
+    fast = vectorize_kernel(checked) # array lane; raises if ineligible,
+    fast.run((1024,), {...})         # then KernelInterpreter runs it
 
 :func:`compile_source_cached` is the memoized entry point sweep
 campaigns use: it keys on the source text plus the *effective* defines
@@ -23,7 +23,6 @@ from typing import Mapping
 
 from .analysis import KernelIR, LoopMode, MemAccess, analyze, classify_stride, index_stream
 from .cast import TranslationUnit, to_source
-from .compile import CompiledKernel, compile_kernel
 from .fold import fold_expr, fold_stmt, fold_unit
 from .interp import BufferArg, KernelInterpreter, run_kernel
 from .lexer import tokenize
@@ -44,8 +43,6 @@ __all__ = [
     "clear_frontend_cache",
     "analyze",
     "specialize",
-    "compile_kernel",
-    "CompiledKernel",
     "vectorize_kernel",
     "VectorKernel",
     "run_kernel",

@@ -4,7 +4,7 @@ Executes every work-item of an NDRange sequentially against numpy
 buffers, with C/OpenCL evaluation semantics (wrap-around integer
 arithmetic on fixed-width types, truncating division, elementwise
 vector operations). This is the *semantic reference*: the fast
-vectorized execution path (:mod:`repro.oclc.specialize`) is validated
+whole-NDRange array lane (:mod:`repro.oclc.vectorize`) is validated
 against it, and the device performance models never touch data at all.
 
 Floating-point association: binary operators evaluate as per-element

@@ -1,23 +1,28 @@
-"""Vectorized (numpy) execution of analyzable kernels.
+"""Safety analysis and shared array primitives for the array lane.
 
-The sequential interpreter (:mod:`repro.oclc.interp`) is the semantic
-reference but interprets one work-item at a time — far too slow for the
-multi-megabyte arrays the benchmark uses. This module *specializes* a
-kernel: it flattens the iteration domain (NDRange × counted loop nest)
-and evaluates the innermost body once, with every scalar replaced by a
-numpy array over the whole domain. For STREAM-style kernels this is
-exact, and the test suite proves it by comparing both paths on random
-small instances.
+The work-item interpreter (:mod:`repro.oclc.interp`) is the semantic
+reference but runs one work-item at a time — far too slow for the
+multi-megabyte arrays the benchmark uses. The array lane
+(:mod:`repro.oclc.vectorize`) instead flattens the iteration domain
+(NDRange × counted loop nest) and evaluates the innermost body once,
+with every scalar replaced by a numpy array over the whole domain. This
+module holds the two halves that lane is built on:
 
-Specialization refuses (raises :class:`UnsupportedKernelError`) when
-vectorized evaluation could diverge from sequential semantics:
+* :func:`specialize`, the safety analysis. It peels the counted loop
+  nest into straight-line statements (:class:`SpecializedKernel`) and
+  refuses (raises :class:`UnsupportedKernelError`) when array
+  evaluation could diverge from sequential semantics:
 
-* data-dependent control flow (``if``/``while``/``break``) in the body,
-* a kernel that both reads and writes the same buffer argument,
-* loop-carried scalar state (a local read before it is written in the
-  same iteration).
+  - data-dependent control flow (``if``/``while``/``break``) in the body,
+  - a kernel that both reads and writes the same buffer argument,
+  - loop-carried scalar state (a local read before it is written in the
+    same iteration) other than a recognized sum reduction.
 
-Callers fall back to the interpreter in those cases.
+  Callers run the kernel on the interpreter in those cases.
+* The array primitives (:func:`apply_binary`, :func:`cast_value`,
+  :func:`reduce_sum`, :func:`build_domain_env`, …): the C/OpenCL
+  arithmetic rules (wrap-around integers, truncating division,
+  scalar-vs-vector stream broadcasting) over whole-domain arrays.
 """
 
 from __future__ import annotations
@@ -32,19 +37,13 @@ from ..ocl import types as T
 from . import cast
 from .analysis import KernelIR, LoopMode, analyze
 from .interp import BufferArg
-from .semantic import (
-    BUILTIN_MATH_FUNCTIONS,
-    BUILTIN_WORKITEM_FUNCTIONS,
-    CheckedProgram,
-    swizzle_indices,
-    vector_memory_builtin,
-)
+from .semantic import CheckedProgram
 
 __all__ = ["SpecializedKernel", "specialize"]
 
 
 def specialize(program: CheckedProgram, kernel_name: str | None = None) -> "SpecializedKernel":
-    """Build a vectorized executor for the kernel, or raise if unsafe."""
+    """Analyze the kernel for array evaluation, or raise if that is unsafe."""
     ir = analyze(program, kernel_name)
     return SpecializedKernel(ir)
 
@@ -74,7 +73,7 @@ class _Body:
 
 
 class SpecializedKernel:
-    """Runs a kernel by vectorized evaluation over its iteration domain."""
+    """A kernel proven safe for array evaluation, with its peeled body."""
 
     def __init__(self, ir: KernelIR):
         self.ir = ir
@@ -302,39 +301,6 @@ class SpecializedKernel:
 
         self._body.reductions = list(reductions.values())
 
-    # -- execution ----------------------------------------------------------------
-
-    def run(
-        self,
-        global_size: tuple[int, ...] | int,
-        args: Mapping[str, object],
-        local_size: tuple[int, ...] | None = None,
-    ) -> None:
-        """Execute the kernel. Signature mirrors the interpreter's."""
-        if isinstance(global_size, int):
-            global_size = (global_size,)
-        if len(global_size) != 1:
-            raise UnsupportedKernelError(
-                "specialized execution supports 1-D NDRanges only"
-            )
-        n_items = int(global_size[0])
-        env = build_domain_env(self.ir, n_items)
-        buffers = bind_arguments(self.program, self.ir, args, env)
-        evaluator = _VecEval(self.program, env, buffers, n_items)
-        for decl in self._body.outer_decls:
-            evaluator.exec_decl(decl)
-        reduction_by_stmt = {id(r.stmt): r for r in self._body.reductions}
-        for stmt in self._body.inner:
-            red = reduction_by_stmt.get(id(stmt))
-            if red is not None:
-                evaluator.exec_reduction(red.var, red.value)
-            else:
-                evaluator.exec_stmt(stmt)
-        # the epilogue runs once, over scalar values (reduction results
-        # are scalars; anything else uniform would be too)
-        for stmt in self._body.epilogue:
-            evaluator.exec_stmt(stmt)
-
 
 def _coerce_scalar(value: object, ty: T.Type) -> object:
     if isinstance(ty, T.ScalarType):
@@ -386,11 +352,7 @@ _ARITH_IMPL = {
 }
 
 
-# -- shared vectorized semantics ------------------------------------------------
-#
-# Module-level so the compiled-closure lane (repro.oclc.compile) executes
-# the *same* code paths as the tree-walking _VecEval below: one
-# implementation, two drivers, no chance of semantic drift.
+# -- shared array semantics -----------------------------------------------------
 
 
 def align_streams(left: object, right: object) -> tuple[object, object]:
@@ -528,282 +490,3 @@ def bind_arguments(
         else:
             env[name] = _coerce_scalar(value, ty)
     return buffers
-
-
-def buffer_view(
-    buffers: Mapping[str, tuple[np.ndarray, T.Type]], name: str, line: int
-) -> tuple[np.ndarray, T.Type]:
-    if name not in buffers:
-        raise UnsupportedKernelError(f"unknown buffer {name!r} at line {line}")
-    arr, element = buffers[name]
-    if isinstance(element, T.VectorType):
-        width = element.width
-        if arr.size % width:
-            raise UnsupportedKernelError(
-                f"buffer {name!r} size {arr.size} not divisible by vector width {width}"
-            )
-        return arr.reshape(-1, width), element
-    return arr, element
-
-
-def store_to_view(view: np.ndarray, idx: np.ndarray, value: object) -> None:
-    arr = np.asarray(value)
-    if view.ndim == 2 and arr.ndim == 1 and idx.ndim == 1:
-        view[idx] = arr[:, None] if arr.shape[0] == idx.shape[0] else arr
-    else:
-        view[idx] = arr
-
-
-def vector_view(
-    buffers: Mapping[str, tuple[np.ndarray, T.Type]],
-    name: str,
-    width: int,
-    line: int,
-) -> np.ndarray:
-    if name not in buffers:
-        raise UnsupportedKernelError(f"unknown buffer {name!r} at line {line}")
-    arr, _element = buffers[name]
-    if arr.size % width:
-        raise UnsupportedKernelError(
-            f"buffer {name!r} size {arr.size} not divisible by {width}"
-        )
-    return arr.reshape(-1, width)
-
-
-def vector_store(view: np.ndarray, offset: np.ndarray, data: object) -> None:
-    value = np.asarray(data)
-    if value.ndim == 1 and offset.ndim == 1 and value.shape[0] == offset.shape[0]:
-        view[offset] = value[:, None]
-    else:
-        view[offset] = value
-
-
-class _VecEval:
-    """Vectorized evaluation of straight-line kernel statements.
-
-    Every value is either a numpy scalar (uniform across the domain), a
-    1-D array over the flattened domain, or — for vector types — a 2-D
-    ``(domain, lanes)`` array.
-    """
-
-    def __init__(
-        self,
-        program: CheckedProgram,
-        env: dict[str, object],
-        buffers: dict[str, tuple[np.ndarray, T.Type]],
-        n_items: int,
-    ):
-        self.program = program
-        self.env = env
-        self.buffers = buffers
-        self.n_items = n_items
-
-    # -- statements ----------------------------------------------------------
-
-    def exec_decl(self, decl: cast.DeclStmt) -> None:
-        ty = T.parse_type_name(decl.type_name)
-        if decl.init is None:
-            value: object = (
-                np.zeros(ty.width, dtype=ty.dtype)
-                if isinstance(ty, T.VectorType)
-                else ty.dtype.type(0)  # type: ignore[union-attr]
-            )
-        else:
-            value = self._cast_to(self.eval(decl.init), ty)
-        self.env[decl.name] = value
-
-    def exec_reduction(self, var: str, value_expr: cast.Expr) -> None:
-        """Vectorized sum reduction: env[var] += sum(value over domain).
-
-        Integer sums wrap exactly like the sequential loop (addition is
-        associative modulo 2^width); float sums may differ by rounding
-        order, within STREAM validation tolerance.
-        """
-        if var not in self.env:
-            raise UnsupportedKernelError(f"reduction variable {var!r} unbound")
-        self.env[var] = reduce_sum(self.env[var], self.eval(value_expr))
-
-    def exec_stmt(self, stmt: cast.Stmt) -> None:
-        if isinstance(stmt, cast.DeclStmt):
-            self.exec_decl(stmt)
-        elif isinstance(stmt, cast.ExprStmt):
-            self.eval(stmt.expr)
-        elif isinstance(stmt, cast.Block):
-            for s in stmt.body:
-                self.exec_stmt(s)
-        elif isinstance(stmt, cast.Pragma):
-            pass
-        else:
-            raise UnsupportedKernelError(
-                f"unsupported statement {type(stmt).__name__} at line {stmt.line}"
-            )
-
-    # -- expressions ----------------------------------------------------------
-
-    def eval(self, expr: cast.Expr) -> object:
-        ty = self.program.type_of(expr)
-        if isinstance(expr, cast.IntLiteral):
-            return ty.dtype.type(expr.value)  # type: ignore[union-attr]
-        if isinstance(expr, cast.FloatLiteral):
-            return ty.dtype.type(expr.value)  # type: ignore[union-attr]
-        if isinstance(expr, cast.Ident):
-            if expr.name not in self.env:
-                raise UnsupportedKernelError(f"unbound {expr.name!r} at line {expr.line}")
-            return self.env[expr.name]
-        if isinstance(expr, cast.Unary):
-            return self._unary(expr)
-        if isinstance(expr, cast.Binary):
-            return self._binary(expr)
-        if isinstance(expr, cast.Assign):
-            return self._assign(expr)
-        if isinstance(expr, cast.Conditional):
-            cond = self.eval(expr.cond)
-            then = self.eval(expr.then)
-            other = self.eval(expr.other)
-            return self._cast_to(np.where(np.asarray(cond) != 0, then, other), ty)
-        if isinstance(expr, cast.Call):
-            return self._call(expr)
-        if isinstance(expr, cast.Index):
-            return self._load(expr)
-        if isinstance(expr, cast.Swizzle):
-            base = np.asarray(self.eval(expr.base))
-            base_ty = self.program.type_of(expr.base)
-            assert isinstance(base_ty, T.VectorType)
-            idx = swizzle_indices(expr.components, base_ty.width, expr.line)
-            sel = base[..., list(idx)]
-            if len(idx) == 1:
-                return sel[..., 0]
-            return sel
-        if isinstance(expr, cast.Cast):
-            return self._cast_to(self.eval(expr.operand), ty)
-        if isinstance(expr, cast.VectorLiteral):
-            assert isinstance(ty, T.VectorType)
-            values = [np.asarray(self.eval(el), dtype=ty.dtype) for el in expr.elements]
-            if len(values) == 1:
-                values = values * ty.width
-            return np.stack(np.broadcast_arrays(*values), axis=-1)
-        raise UnsupportedKernelError(
-            f"unsupported expression {type(expr).__name__} at line {expr.line}"
-        )
-
-    def _unary(self, expr: cast.Unary) -> object:
-        if expr.op in ("++", "--", "p++", "p--"):
-            raise UnsupportedKernelError(
-                f"increment of locals at line {expr.line} is loop-carried state"
-            )
-        value = self.eval(expr.operand)
-        return apply_unary(expr.op, value, self.program.type_of(expr), expr.line)
-
-    def _binary(self, expr: cast.Binary) -> object:
-        left = self.eval(expr.left)
-        right = self.eval(expr.right)
-        return apply_binary(expr.op, left, right, self.program.type_of(expr))
-
-    _align = staticmethod(align_streams)
-
-    def _assign(self, expr: cast.Assign) -> object:
-        ty = self.program.type_of(expr.target)
-        value = self.eval(expr.value)
-        if expr.op != "=":
-            synthetic = cast.Binary(expr.op[:-1], expr.target, expr.value, line=expr.line)
-            # register its type so _binary can look it up
-            self.program.expr_types[id(synthetic)] = ty
-            value = self._binary(synthetic)
-        value = self._cast_to(value, ty)
-        target = expr.target
-        if isinstance(target, cast.Ident):
-            self.env[target.name] = value
-        elif isinstance(target, cast.Index):
-            self._store(target, value)
-        else:
-            raise UnsupportedKernelError(
-                f"unsupported store target at line {expr.line}"
-            )
-        return value
-
-    # -- memory ----------------------------------------------------------------
-
-    def _buffer_view(self, name: str, line: int) -> tuple[np.ndarray, T.Type]:
-        return buffer_view(self.buffers, name, line)
-
-    def _load(self, expr: cast.Index) -> object:
-        if not isinstance(expr.base, cast.Ident):
-            raise UnsupportedKernelError(f"indirect load at line {expr.line}")
-        view, element = self._buffer_view(expr.base.name, expr.line)
-        idx = np.asarray(self.eval(expr.index), dtype=np.int64)
-        if np.any(idx < 0) or np.any(idx >= view.shape[0]):
-            raise UnsupportedKernelError(
-                f"out-of-bounds load from {expr.base.name!r} at line {expr.line}"
-            )
-        return view[idx]
-
-    def _store(self, target: cast.Index, value: object) -> None:
-        if not isinstance(target.base, cast.Ident):
-            raise UnsupportedKernelError(f"indirect store at line {target.line}")
-        view, element = self._buffer_view(target.base.name, target.line)
-        idx = np.asarray(self.eval(target.index), dtype=np.int64)
-        if np.any(idx < 0) or np.any(idx >= view.shape[0]):
-            raise UnsupportedKernelError(
-                f"out-of-bounds store to {target.base.name!r} at line {target.line}"
-            )
-        store_to_view(view, idx, value)
-
-    def _call(self, expr: cast.Call) -> object:
-        name = expr.func
-        ty = self.program.type_of(expr)
-        vec_mem = vector_memory_builtin(name)
-        if vec_mem is not None:
-            return self._vector_memory(expr, vec_mem)
-        if name in BUILTIN_WORKITEM_FUNCTIONS:
-            if name == "get_work_dim":
-                return np.int64(1)
-            dim_expr = expr.args[0]
-            dim = dim_expr.value if isinstance(dim_expr, cast.IntLiteral) else None
-            if dim == 0:
-                table = {
-                    "get_global_id": self.env.get("gid0", np.int64(0)),
-                    "get_global_size": np.int64(self.n_items),
-                    "get_local_id": np.int64(0),
-                    "get_local_size": np.int64(1),
-                    "get_group_id": self.env.get("gid0", np.int64(0)),
-                    "get_num_groups": np.int64(self.n_items),
-                }
-                return table[name]
-            defaults = {
-                "get_global_id": np.int64(0),
-                "get_local_id": np.int64(0),
-                "get_group_id": np.int64(0),
-                "get_global_size": np.int64(1),
-                "get_local_size": np.int64(1),
-                "get_num_groups": np.int64(1),
-            }
-            return defaults[name]
-        if name in BUILTIN_MATH_FUNCTIONS:
-            args = [self.eval(a) for a in expr.args]
-            return apply_math(name, args, ty)
-        raise UnsupportedKernelError(f"unsupported call {name!r} at line {expr.line}")
-
-    def _vector_memory(self, expr: cast.Call, vec_mem: tuple[str, int]) -> object:
-        """Vectorized vloadN/vstoreN over the whole domain."""
-        kind, width = vec_mem
-        ptr_expr = expr.args[-1]
-        if not isinstance(ptr_expr, cast.Ident):
-            raise UnsupportedKernelError(
-                f"vload/vstore through a computed pointer at line {expr.line}"
-            )
-        view = vector_view(self.buffers, ptr_expr.name, width, expr.line)
-        if kind == "load":
-            offset = np.asarray(self.eval(expr.args[0]), dtype=np.int64)
-        else:
-            data = self.eval(expr.args[0])
-            offset = np.asarray(self.eval(expr.args[1]), dtype=np.int64)
-        if np.any(offset < 0) or np.any(offset >= view.shape[0]):
-            raise UnsupportedKernelError(
-                f"vload/vstore out of bounds at line {expr.line}"
-            )
-        if kind == "load":
-            return view[offset]
-        vector_store(view, offset, data)
-        return None
-
-    _cast_to = staticmethod(cast_value)

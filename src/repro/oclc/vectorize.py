@@ -1,30 +1,28 @@
 """Whole-NDRange array execution with precomputed launch plans.
 
-The compiled-closure lane (:mod:`repro.oclc.compile`) already evaluates
-a kernel body as numpy arrays over the flattened iteration domain, but
-it rebuilds the domain environment (``arange`` + mixed-radix decode) on
-*every* launch, re-evaluates every index expression, bounds-checks every
-access with full ``np.any`` passes, and gathers/scatters through fancy
-integer indexing. For a STREAM kernel those overheads dwarf the four
-vector ops the launch actually performs — and a benchmark point repeats
-the same launch ``warmup + ntimes`` times.
+:class:`VectorKernel` is the fast driver of the kernel semantics; the
+work-item interpreter (:mod:`repro.oclc.interp`) is the other, and the
+oracle. It evaluates a kernel body as numpy arrays over the flattened
+iteration domain, and every AST dispatch, type lookup, operator ufunc,
+builtin binding and swizzle index is resolved once, when the kernel is
+built, into a flat list of statement closures.
 
-:class:`VectorKernel` is the third driver over the same specializer
-semantics (one implementation, three drivers: interpret /
-compiled-scalar / vectorized-array). It exploits one observation: in an
-analyzable kernel every load/store **index** is a pure function of the
-iteration domain — ``gid0``, counted-loop variables and constants —
-never of buffer contents or scalar arguments. So indices can be
-evaluated *once per launch shape*, bounds-checked once, and lowered to
-native strided slices whenever they are affine in the flattened domain
+It also exploits one observation: in an analyzable kernel every
+load/store **index** is a pure function of the iteration domain —
+``gid0``, counted-loop variables and constants — never of buffer
+contents or scalar arguments. So indices can be evaluated *once per
+launch shape*, bounds-checked once, and lowered to native strided
+slices whenever they are affine in the flattened domain
 (``c[gid] = a[gid]`` becomes ``c_view[0:N:1] = a_view[0:N:1]``, no index
 vector materialized at all). The per-``(n_items, buffer sizes)`` result
 is cached as a launch *plan*; a repeated launch is just the statement
-closures over pre-lowered selections.
+closures over pre-lowered selections. For a STREAM kernel that leaves
+the handful of vector ops the launch actually performs — and a
+benchmark point repeats the same launch ``warmup + ntimes`` times.
 
-Eligibility is conservative and layered on the specializer's own gate
-(no data-dependent control flow, no read/write parameter overlap, no
-loop-carried state beyond sum reductions — see
+Eligibility is conservative and layered on the specializer's safety
+analysis (no data-dependent control flow, no read/write parameter
+overlap, no loop-carried state beyond sum reductions — see
 :class:`~repro.oclc.specialize.SpecializedKernel`):
 
 * every load/store index and vload/vstore offset must be **domain-pure**
@@ -32,12 +30,11 @@ loop-carried state beyond sum reductions — see
   builtin calls thereof), so plans are launch-shape cacheable;
 * no kernel argument may alias another in a way that crosses the
   read/write split (checked per launch with ``np.may_share_memory`` —
-  slice loads are *views*, so aliasing that the gather-based lane
-  tolerates must fall back here).
+  slice loads are *views*, so an aliased store could feed a later load).
 
-Anything else raises :class:`~repro.errors.UnsupportedKernelError` and
-the caller (:meth:`repro.ocl.queue.CommandQueue._execute`) falls back to
-the compiled-closure lane, then the interpreter.
+Anything else raises :class:`~repro.errors.UnsupportedKernelError`, and
+the caller (:meth:`repro.ocl.queue.CommandQueue._execute`) runs the
+kernel on the interpreter instead.
 
 :meth:`VectorKernel.run_batch` additionally stacks *B* same-shape
 argument sets into one ``(B, n)`` array pass — the engine uses it to
@@ -48,8 +45,9 @@ per-point runs; kernels with reductions or an epilogue are refused.
 
 The semantics are shared, not re-implemented: every closure calls the
 module-level primitives of :mod:`repro.oclc.specialize`, and the
-differential suite (``tests/test_vectorize_equivalence.py``) proves all
-three lanes bit-identical on the full conformance grid.
+differential suite (``tests/test_vectorize_equivalence.py``) proves the
+array lane bit-identical to the interpreter on the full conformance
+grid.
 """
 
 from __future__ import annotations
@@ -64,18 +62,22 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..ocl import types as T
 from . import cast
-from .compile import _Compiler, _Ctx
 from .semantic import (
     BUILTIN_MATH_FUNCTIONS,
     BUILTIN_WORKITEM_FUNCTIONS,
     CheckedProgram,
+    swizzle_indices,
     vector_memory_builtin,
 )
 from .specialize import (
     SpecializedKernel,
+    apply_binary,
+    apply_math,
+    apply_unary,
     bind_arguments,
     build_domain_env,
     cast_value,
+    reduce_sum,
     specialize,
 )
 
@@ -98,13 +100,32 @@ def vectorize_kernel(
     return kernel
 
 
+class _Ctx:
+    """Per-launch state threaded through the statement closures.
+
+    ``views``/``sel``/``sel_len``/``pre`` are only bound for a launch;
+    the plan builder evaluates domain-pure expressions, which never
+    touch memory, with ``env`` and ``n_items`` alone.
+    """
+
+    __slots__ = ("env", "n_items", "views", "sel", "sel_len", "pre")
+
+    def __init__(self, env: dict[str, object], n_items: int):
+        self.env = env
+        self.n_items = n_items
+
+
+_ExprFn = Callable[[_Ctx], object]
+_StmtFn = Callable[[_Ctx], None]
+
+
 @dataclass
 class _Site:
     """One memory access whose selection is precomputed per plan."""
 
     param: str
     width: int | None  # None: scalar-element view; int: (rows, width) view
-    index: Callable[["_VCtx"], object]
+    index: _ExprFn
     line: int
 
 
@@ -115,12 +136,6 @@ class _Plan:
     env_base: dict[str, object]
     sel: list[object]  # per _Site: slice | np.ndarray selection
     sel_len: list[int]  # per _Site: selected rows (-1: not a 1-D stream)
-
-
-class _VCtx(_Ctx):
-    """Per-launch state: compiled-lane ctx plus plan selections/views."""
-
-    __slots__ = ("views", "sel", "sel_len", "pre")
 
 
 def _lower_selection(idx: np.ndarray) -> object:
@@ -151,11 +166,11 @@ def _store_selected(
 ) -> None:
     """Scatter ``value`` into ``view[pre + (sel,)]``.
 
-    Mirrors :func:`~repro.oclc.specialize.store_to_view` /
-    :func:`~repro.oclc.specialize.vector_store` semantics exactly — a
-    1-D value whose length matches the selection is a scalar *stream*
-    and broadcasts across vector lanes — extended over the optional
-    leading batch axis (``pre == (slice(None),)``).
+    A 1-D value whose length matches the selection is a scalar
+    *stream* (one scalar per work-item) and broadcasts across the lanes
+    of a vector-element view, as a scalar store to a vector element
+    does in the interpreter; the rule extends over the optional leading
+    batch axis (``pre == (slice(None),)``).
     """
     arr = np.asarray(value)
     if view.ndim - len(pre) == 2:  # vector-element view
@@ -174,7 +189,7 @@ class VectorKernel:
         self.program = spec.program
         body = spec._body
         self._sites: list[_Site] = []
-        self._pure_decls: list[tuple[str, Callable[[_VCtx], object] | None, T.Type]] = []
+        self._pure_decls: list[tuple[str, _ExprFn | None, T.Type]] = []
         self._pure_names: set[str] = {"gid0"} | {loop.var for loop in self.ir.loops}
         self._declared: set[str] = set()
         self._batchable = not body.reductions and not body.epilogue
@@ -182,8 +197,8 @@ class VectorKernel:
         self._writes = tuple(sorted({a.param for a in self.ir.writes}))
         self._reads = tuple(sorted({a.param for a in self.ir.reads}))
 
-        comp = _VecCompiler(self.program, self)
-        steps: list[Callable[[_VCtx], object]] = []
+        comp = _Compiler(self.program, self)
+        steps: list[_StmtFn] = []
         by_stmt = {id(r.stmt): r for r in body.reductions}
 
         def add(stmt: cast.Stmt) -> None:
@@ -211,7 +226,7 @@ class VectorKernel:
 
     # -- compile-time classification ------------------------------------------
 
-    def _classify_decl(self, decl: cast.DeclStmt, comp: "_VecCompiler") -> bool:
+    def _classify_decl(self, decl: cast.DeclStmt, comp: "_Compiler") -> bool:
         """Plan-compute a domain-pure local; returns False to run per launch."""
         if decl.name in self._pure_names or decl.name in self._declared:
             raise UnsupportedKernelError(
@@ -321,7 +336,7 @@ class VectorKernel:
 
     def _build_plan(self, n_items: int, sizes: Mapping[str, int]) -> _Plan:
         env = build_domain_env(self.ir, n_items)
-        pctx = _VCtx(env, {}, n_items)
+        pctx = _Ctx(env, n_items)
         for name, fn, ty in self._pure_decls:
             if fn is None:
                 value: object = (
@@ -369,9 +384,10 @@ class VectorKernel:
     ) -> None:
         """Refuse launches where slice *views* could observe a store.
 
-        The gather-based lanes copy on load; this lane reads through
-        views, so an output array aliasing an input (or another output,
-        across batch instances) must fall back.
+        The interpreter reads each element when its work-item runs; this
+        lane reads through views of whole arrays, so an output array
+        aliasing an input (or another output, across batch instances)
+        must fall back.
         """
         write_arrays: list[np.ndarray] = []
         for buffers in buffer_sets:
@@ -425,7 +441,7 @@ class VectorKernel:
         plan = self._plan_for(n_items, sizes)
         env = dict(plan.env_base)
         env.update(scalars)
-        ctx = _VCtx(env, dict(buffers), n_items)
+        ctx = _Ctx(env, n_items)
         ctx.views = self._make_views(buffers, batch=False)
         ctx.sel = plan.sel
         ctx.sel_len = plan.sel_len
@@ -491,7 +507,7 @@ class VectorKernel:
         }
         env = dict(plan.env_base)
         env.update(scalars0)
-        ctx = _VCtx(env, stacked, n_items)
+        ctx = _Ctx(env, n_items)
         ctx.views = self._make_views(stacked, batch=True)
         ctx.sel = plan.sel
         ctx.sel_len = plan.sel_len
@@ -505,20 +521,186 @@ class VectorKernel:
         obs_metrics.count("fastpath.batch.instances", len(calls))
 
 
-class _VecCompiler(_Compiler):
-    """The closure compiler, with memory sites routed through the plan.
+class _Compiler:
+    """Turns the extracted straight-line body into closures.
 
-    Everything except loads/stores reuses :class:`~repro.oclc.compile._Compiler`
-    verbatim — same primitives, same closures, bit-identical values. The
-    memory overrides require domain-pure indices, register a
-    :class:`_Site`, and emit closures that index pre-built views with
-    pre-lowered selections (no per-launch index evaluation, no
-    per-launch bounds check).
+    All AST dispatch, type lookup and builtin resolution happens here,
+    once; the returned closures only touch per-launch state. Memory
+    accesses require domain-pure indices: each registers a
+    :class:`_Site` with the owning kernel and becomes a closure that
+    indexes a pre-built view with its plan's pre-lowered selection (no
+    per-launch index evaluation, no per-launch bounds check).
     """
 
     def __init__(self, program: CheckedProgram, owner: VectorKernel):
-        super().__init__(program)
+        self.program = program
         self.owner = owner
+
+    # -- statements ----------------------------------------------------------
+
+    def stmt(self, stmt: cast.Stmt) -> _StmtFn:
+        # the specializer has already flattened blocks and dropped
+        # pragmas: a straight-line body holds declarations and
+        # expression statements only
+        if isinstance(stmt, cast.DeclStmt):
+            return self._decl(stmt)
+        if isinstance(stmt, cast.ExprStmt):
+            fn = self.expr(stmt.expr)
+
+            def run_expr(ctx: _Ctx) -> None:
+                fn(ctx)
+
+            return run_expr
+        raise UnsupportedKernelError(
+            f"unsupported statement {type(stmt).__name__} at line {stmt.line}"
+        )
+
+    def _decl(self, decl: cast.DeclStmt) -> _StmtFn:
+        ty = T.parse_type_name(decl.type_name)
+        name = decl.name
+        if decl.init is None:
+            if isinstance(ty, T.VectorType):
+                width, dtype = ty.width, ty.dtype
+
+                def run_zero_vec(ctx: _Ctx) -> None:
+                    ctx.env[name] = np.zeros(width, dtype=dtype)
+
+                return run_zero_vec
+            zero = ty.dtype.type(0)  # type: ignore[union-attr]
+
+            def run_zero(ctx: _Ctx) -> None:
+                ctx.env[name] = zero
+
+            return run_zero
+        init = self.expr(decl.init)
+
+        def run_init(ctx: _Ctx) -> None:
+            ctx.env[name] = cast_value(init(ctx), ty)
+
+        return run_init
+
+    def reduction(self, var: str, value_expr: cast.Expr) -> _StmtFn:
+        value = self.expr(value_expr)
+
+        def run_reduction(ctx: _Ctx) -> None:
+            if var not in ctx.env:
+                raise UnsupportedKernelError(f"reduction variable {var!r} unbound")
+            ctx.env[var] = reduce_sum(ctx.env[var], value(ctx))
+
+        return run_reduction
+
+    # -- expressions ----------------------------------------------------------
+
+    def expr(self, expr: cast.Expr) -> _ExprFn:
+        ty = self.program.type_of(expr)
+        if isinstance(expr, (cast.IntLiteral, cast.FloatLiteral)):
+            value = ty.dtype.type(expr.value)  # type: ignore[union-attr]
+            return lambda ctx: value
+        if isinstance(expr, cast.Ident):
+            name, line = expr.name, expr.line
+
+            def run_ident(ctx: _Ctx) -> object:
+                try:
+                    return ctx.env[name]
+                except KeyError:
+                    raise UnsupportedKernelError(
+                        f"unbound {name!r} at line {line}"
+                    ) from None
+
+            return run_ident
+        if isinstance(expr, cast.Unary):
+            if expr.op in ("++", "--", "p++", "p--"):
+                raise UnsupportedKernelError(
+                    f"increment of locals at line {expr.line} is loop-carried state"
+                )
+            op, line = expr.op, expr.line
+            operand = self.expr(expr.operand)
+            return lambda ctx: apply_unary(op, operand(ctx), ty, line)
+        if isinstance(expr, cast.Binary):
+            op = expr.op
+            left = self.expr(expr.left)
+            right = self.expr(expr.right)
+            return lambda ctx: apply_binary(op, left(ctx), right(ctx), ty)
+        if isinstance(expr, cast.Assign):
+            return self._assign(expr)
+        if isinstance(expr, cast.Conditional):
+            cond = self.expr(expr.cond)
+            then = self.expr(expr.then)
+            other = self.expr(expr.other)
+
+            def run_cond(ctx: _Ctx) -> object:
+                chosen = np.where(
+                    np.asarray(cond(ctx)) != 0, then(ctx), other(ctx)
+                )
+                return cast_value(chosen, ty)
+
+            return run_cond
+        if isinstance(expr, cast.Call):
+            return self._call(expr, ty)
+        if isinstance(expr, cast.Index):
+            return self._load(expr)
+        if isinstance(expr, cast.Swizzle):
+            base = self.expr(expr.base)
+            base_ty = self.program.type_of(expr.base)
+            assert isinstance(base_ty, T.VectorType)
+            idx = list(swizzle_indices(expr.components, base_ty.width, expr.line))
+            if len(idx) == 1:
+                only = idx[0]
+                return lambda ctx: np.asarray(base(ctx))[..., only]
+            return lambda ctx: np.asarray(base(ctx))[..., idx]
+        if isinstance(expr, cast.Cast):
+            operand = self.expr(expr.operand)
+            return lambda ctx: cast_value(operand(ctx), ty)
+        if isinstance(expr, cast.VectorLiteral):
+            assert isinstance(ty, T.VectorType)
+            elements = [self.expr(el) for el in expr.elements]
+            width, dtype = ty.width, ty.dtype
+
+            def run_vec(ctx: _Ctx) -> object:
+                values = [np.asarray(el(ctx), dtype=dtype) for el in elements]
+                if len(values) == 1:
+                    values = values * width
+                return np.stack(np.broadcast_arrays(*values), axis=-1)
+
+            return run_vec
+        raise UnsupportedKernelError(
+            f"unsupported expression {type(expr).__name__} at line {expr.line}"
+        )
+
+    def _assign(self, expr: cast.Assign) -> _ExprFn:
+        ty = self.program.type_of(expr.target)
+        value = self.expr(expr.value)
+        if expr.op != "=":
+            op = expr.op[:-1]
+            current = self.expr(expr.target)
+            plain = value
+
+            def compound(ctx: _Ctx) -> object:
+                return apply_binary(op, current(ctx), plain(ctx), ty)
+
+            value = compound
+        target = expr.target
+        if isinstance(target, cast.Ident):
+            name = target.name
+
+            def run_store_local(ctx: _Ctx) -> object:
+                v = cast_value(value(ctx), ty)
+                ctx.env[name] = v
+                return v
+
+            return run_store_local
+        if isinstance(target, cast.Index):
+            store = self._store(target)
+
+            def run_store_mem(ctx: _Ctx) -> object:
+                v = cast_value(value(ctx), ty)
+                store(ctx, v)
+                return v
+
+            return run_store_mem
+        raise UnsupportedKernelError(f"unsupported store target at line {expr.line}")
+
+    # -- memory ----------------------------------------------------------------
 
     def _site(
         self, param: str, width: int | None, index_expr: cast.Expr, line: int
@@ -534,7 +716,7 @@ class _VecCompiler(_Compiler):
         )
         return site_id
 
-    def _load(self, expr: cast.Index):
+    def _load(self, expr: cast.Index) -> _ExprFn:
         if not isinstance(expr.base, cast.Ident):
             raise UnsupportedKernelError(f"indirect load at line {expr.line}")
         name, line = expr.base.name, expr.line
@@ -542,12 +724,12 @@ class _VecCompiler(_Compiler):
         site = self._site(name, width, expr.index, line)
         view_key = (name, width)
 
-        def run_load(ctx: _VCtx) -> object:
+        def run_load(ctx: _Ctx) -> object:
             return ctx.views[view_key][ctx.pre + (ctx.sel[site],)]
 
         return run_load
 
-    def _store(self, target: cast.Index):
+    def _store(self, target: cast.Index) -> Callable[[_Ctx, object], None]:
         if not isinstance(target.base, cast.Ident):
             raise UnsupportedKernelError(f"indirect store at line {target.line}")
         name, line = target.base.name, target.line
@@ -555,14 +737,14 @@ class _VecCompiler(_Compiler):
         site = self._site(name, width, target.index, line)
         view_key = (name, width)
 
-        def run_store(ctx: _VCtx, value: object) -> None:
+        def run_store(ctx: _Ctx, value: object) -> None:
             _store_selected(
                 ctx.views[view_key], ctx.pre, ctx.sel[site], ctx.sel_len[site], value
             )
 
         return run_store
 
-    def _vector_memory(self, expr: cast.Call, vec_mem: tuple[str, int]):
+    def _vector_memory(self, expr: cast.Call, vec_mem: tuple[str, int]) -> _ExprFn:
         kind, width = vec_mem
         ptr_expr = expr.args[-1]
         if not isinstance(ptr_expr, cast.Ident):
@@ -576,14 +758,14 @@ class _VecCompiler(_Compiler):
         if kind == "load":
             site = self._site(name, width, expr.args[0], line)
 
-            def run_vload(ctx: _VCtx) -> object:
+            def run_vload(ctx: _Ctx) -> object:
                 return ctx.views[view_key][ctx.pre + (ctx.sel[site],)]
 
             return run_vload
         data_fn = self.expr(expr.args[0])
         site = self._site(name, width, expr.args[1], line)
 
-        def run_vstore(ctx: _VCtx) -> object:
+        def run_vstore(ctx: _Ctx) -> object:
             _store_selected(
                 ctx.views[view_key],
                 ctx.pre,
@@ -594,3 +776,42 @@ class _VecCompiler(_Compiler):
             return None
 
         return run_vstore
+
+    # -- calls ----------------------------------------------------------------
+
+    def _call(self, expr: cast.Call, ty: T.Type) -> _ExprFn:
+        name = expr.func
+        vec_mem = vector_memory_builtin(name)
+        if vec_mem is not None:
+            return self._vector_memory(expr, vec_mem)
+        if name in BUILTIN_WORKITEM_FUNCTIONS:
+            return self._workitem(expr, name)
+        if name in BUILTIN_MATH_FUNCTIONS:
+            args = [self.expr(a) for a in expr.args]
+            return lambda ctx: apply_math(name, [a(ctx) for a in args], ty)
+        raise UnsupportedKernelError(f"unsupported call {name!r} at line {expr.line}")
+
+    def _workitem(self, expr: cast.Call, name: str) -> _ExprFn:
+        if name == "get_work_dim":
+            one = np.int64(1)
+            return lambda ctx: one
+        dim_expr = expr.args[0]
+        dim = dim_expr.value if isinstance(dim_expr, cast.IntLiteral) else None
+        zero = np.int64(0)
+        if dim == 0:
+            if name in ("get_global_id", "get_group_id"):
+                return lambda ctx: ctx.env.get("gid0", zero)
+            if name in ("get_global_size", "get_num_groups"):
+                return lambda ctx: np.int64(ctx.n_items)
+            value = zero if name == "get_local_id" else np.int64(1)
+            return lambda ctx: value
+        defaults = {
+            "get_global_id": zero,
+            "get_local_id": zero,
+            "get_group_id": zero,
+            "get_global_size": np.int64(1),
+            "get_local_size": np.int64(1),
+            "get_num_groups": np.int64(1),
+        }
+        value = defaults[name]
+        return lambda ctx: value

@@ -1,8 +1,9 @@
 """Fast-lane microbenchmarks: time the hot paths, pin the speedups.
 
 Each benchmark times a *fast lane* against its retained *scalar oracle*
-on identical inputs — the same pairs the differential equivalence suite
-(`tests/test_fastpath_equivalence.py`) proves bit-for-bit identical —
+on identical inputs — the same pairs the differential equivalence
+suites (`tests/test_fastpath_equivalence.py`,
+`tests/test_vectorize_equivalence.py`) prove bit-for-bit identical —
 and reports median/IQR wall times plus the speedup ratio. The ratio is
 the machine-portable number CI gates on; absolute throughput is only
 compared between identical machines (see :mod:`repro.perf.report`).
@@ -14,15 +15,12 @@ Benchmarks:
   :meth:`~repro.memsim.cache.Cache.access_batch`.
 * ``coalesce`` — warp coalescing + burst inference over thousands of
   warp-sized windows: per-window calls vs the ``*_batch`` stack forms.
-* ``interp`` — generated triad kernel execution: tree-walking
-  :class:`~repro.oclc.interp.KernelInterpreter` vs the
-  compiled-to-closures :class:`~repro.oclc.compile.CompiledKernel`.
-* ``ndrange`` — the whole-NDRange array lane: compiled-to-closures
-  scalar execution vs :class:`~repro.oclc.vectorize.VectorKernel`
-  across array sizes, with an interpreter reference leg at the
-  smallest size. The gated ratio is vectorized-vs-compiled at the
-  largest size, where the per-element Python overhead of the scalar
-  lane dominates.
+* ``exec`` — the two kernel-execution drivers on a generated triad
+  kernel: the work-item :class:`~repro.oclc.interp.KernelInterpreter`
+  vs the whole-NDRange :class:`~repro.oclc.vectorize.VectorKernel`.
+  The gated ratio is taken at a few thousand words, where the
+  interpreter still finishes in milliseconds; the throughput is the
+  array lane's at 1M words.
 * ``engine_stages`` — one engine point end to end, with the per-stage
   split (generate/compile/plan/execute) from ``detail['engine']``.
 * ``sweep_throughput`` — a small cartesian sweep, reported as
@@ -53,7 +51,7 @@ from ..memsim import (
     coalesce_sequential_batch,
 )
 from ..obs import trace as obs_trace
-from ..oclc import compile_kernel, compile_source_cached, vectorize_kernel
+from ..oclc import compile_source_cached, vectorize_kernel
 from ..oclc.interp import BufferArg, KernelInterpreter
 from .report import BENCH_SCHEMA, environment
 
@@ -170,8 +168,18 @@ def bench_coalesce(quick: bool) -> dict[str, object]:
 # -- kernel execution ----------------------------------------------------------
 
 
-def bench_interp(quick: bool) -> dict[str, object]:
-    words = 2048 if quick else 4096
+#: array size of the ``exec`` throughput leg: large enough that the
+#: array lane's per-launch Python overhead is amortized
+_EXEC_THROUGHPUT_WORDS = 1_048_576
+
+
+def _triad_launch(words: int, build) -> Callable[[], None]:
+    """One launch of the generated float4 triad kernel over ``words``.
+
+    The kernel is built once and its arguments reused, so the array
+    lane's launch plan is cached across calls — exactly how the queue
+    drives it.
+    """
     params = TuningParameters(
         kernel=KernelName.TRIAD,
         dtype=DataType.FLOAT,
@@ -184,111 +192,37 @@ def bench_interp(quick: bool) -> dict[str, object]:
     )
     initial = initial_arrays(params.word_count, params.dtype)
     spec = KERNELS[params.kernel]
+    call: dict[str, object] = {
+        name: BufferArg(initial[name].copy()) for name in (*spec.reads, spec.writes)
+    }
+    if spec.uses_scalar:
+        call["q"] = SCALAR_Q
+    kernel = build(checked, gen.kernel_name)
+    return lambda: kernel.run(gen.global_size, call, gen.local_size)
 
-    def make_call() -> dict[str, object]:
-        arrays = {name: initial[name].copy() for name in ("a", "b", "c")}
-        call: dict[str, object] = {
-            name: BufferArg(arrays[name]) for name in (*spec.reads, spec.writes)
-        }
-        if spec.uses_scalar:
-            call["q"] = SCALAR_Q
-        return call
 
-    interp = KernelInterpreter(checked, gen.kernel_name)
-    compiled = compile_kernel(checked, gen.kernel_name)
-    call = make_call()
-
+def bench_exec(quick: bool) -> dict[str, object]:
+    """The array lane against its oracle, the work-item interpreter."""
+    words = 2048 if quick else 4096
     entry = _paired(
-        lambda: interp.run(gen.global_size, call, gen.local_size),
-        lambda: compiled.run(gen.global_size, call, gen.local_size),
+        _triad_launch(words, KernelInterpreter),
+        _triad_launch(words, vectorize_kernel),
         scalar_repeats=2 if quick else 3,
         fast_repeats=20 if quick else 50,
     )
+    big = _triad_launch(_EXEC_THROUGHPUT_WORDS, vectorize_kernel)
+    big()  # warm: build the launch plan
+    big_s = _stats(_sample(big, 10 if quick else 20))
     entry["throughput"] = {
-        "value": words / entry["wall_s"]["median_s"],
-        "unit": "words/s",
-    }
-    entry["detail"] = {"kernel": "triad", "words": words, "vector_width": 4}
-    return entry
-
-
-def bench_ndrange(quick: bool) -> dict[str, object]:
-    """Three execution drivers over one kernel, sized until it hurts.
-
-    The gated speedup is the array lane against the compiled scalar
-    lane at 1M words — the regime the engine actually batches, and
-    where the closure lane's per-slice Python overhead has fully
-    amortised away on the array side. Quick mode keeps all three sizes
-    (the compiled lane still only costs ~20ms at 1M) and trims
-    repeats. The interpreter leg runs once at the smallest size purely
-    as a scale reference; it is ~1000x off the pace and timing it at
-    1M words would dominate the whole suite.
-    """
-    sizes = [1024, 65_536, 1_048_576]
-
-    def point(words: int) -> TuningParameters:
-        return TuningParameters(
-            kernel=KernelName.TRIAD,
-            dtype=DataType.FLOAT,
-            array_bytes=words * 4,
-            vector_width=4,
-        )
-
-    def lanes(words: int):
-        params = point(words)
-        gen = generate(params)
-        checked = compile_source_cached(
-            gen.source, {k: str(v) for k, v in gen.defines.items()}
-        )
-        initial = initial_arrays(params.word_count, params.dtype)
-        spec = KERNELS[params.kernel]
-        arrays = {name: initial[name].copy() for name in ("a", "b", "c")}
-        call: dict[str, object] = {
-            name: BufferArg(arrays[name]) for name in (*spec.reads, spec.writes)
-        }
-        if spec.uses_scalar:
-            call["q"] = SCALAR_Q
-        # kernels are built once and the array lane's slice plan is
-        # cached across launches — exactly how the queue drives them
-        compiled = compile_kernel(checked, gen.kernel_name)
-        vectorized = vectorize_kernel(checked, gen.kernel_name)
-        interp = KernelInterpreter(checked, gen.kernel_name)
-        run = lambda kernel: kernel.run(gen.global_size, call, gen.local_size)  # noqa: E731
-        return (
-            lambda: run(compiled),
-            lambda: run(vectorized),
-            lambda: run(interp),
-        )
-
-    per_size: dict[str, dict[str, float]] = {}
-    entry: dict[str, object] = {}
-    for words in sizes:
-        compiled, vectorized, interp = lanes(words)
-        paired = _paired(
-            compiled,
-            vectorized,
-            scalar_repeats=2 if quick else 3,
-            fast_repeats=10 if quick else 20,
-        )
-        per_size[str(words)] = {
-            "compiled_min_s": paired["scalar_s"]["min_s"],  # type: ignore[index]
-            "vectorized_min_s": paired["wall_s"]["min_s"],  # type: ignore[index]
-            "speedup": round(paired["speedup"], 2),  # type: ignore[arg-type]
-        }
-        if words == sizes[-1]:
-            entry = paired  # the gated ratio: largest size
-        if words == sizes[0]:
-            per_size[str(words)]["interp_min_s"] = min(_sample(interp, 2))
-
-    entry["throughput"] = {
-        "value": sizes[-1] / entry["wall_s"]["min_s"],  # type: ignore[index]
+        "value": _EXEC_THROUGHPUT_WORDS / big_s["median_s"],  # type: ignore[operator]
         "unit": "words/s",
     }
     entry["detail"] = {
         "kernel": "triad",
         "vector_width": 4,
-        "sizes_words": sizes,
-        "per_size": per_size,
+        "words": words,
+        "throughput_words": _EXEC_THROUGHPUT_WORDS,
+        "throughput_s": big_s,
     }
     return entry
 
@@ -505,8 +439,7 @@ def bench_obs_overhead(quick: bool) -> dict[str, object]:
 BENCHMARKS: dict[str, Callable[[bool], dict[str, object]]] = {
     "cache_sim": bench_cache_sim,
     "coalesce": bench_coalesce,
-    "interp": bench_interp,
-    "ndrange": bench_ndrange,
+    "exec": bench_exec,
     "engine_stages": bench_engine_stages,
     "sweep_throughput": bench_sweep_throughput,
     "search_efficiency": bench_search_efficiency,

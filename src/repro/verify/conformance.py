@@ -3,7 +3,7 @@
 Pillar 1 of the verification subsystem. For any tuning-parameter point
 the generated OpenCL-C is re-executed through the oclc *interpreter* —
 a sequential semantic reference that shares nothing with the
-specialized fast path the simulated devices run — and compared
+array lane the simulated devices run — and compared
 element-exact (int) or ULP-bounded (float/double, budgets pinned in
 :mod:`repro.verify.tolerance`) against the NumPy host-stream reference
 (:func:`repro.hoststream.stream_reference`). On top of single points,

@@ -551,6 +551,14 @@ class TestBenchCommand:
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
 
+    def test_every_speedup_floor_names_a_benchmark(self):
+        # compare() skips a floor whose benchmark is missing from the
+        # report, so renaming a benchmark would silently drop its gate
+        from repro.perf.bench import BENCHMARKS
+        from repro.perf.report import MIN_SPEEDUP
+
+        assert set(MIN_SPEEDUP) <= set(BENCHMARKS)
+
     def test_bench_rejects_unknown_benchmark(self, capsys):
         code = main(["bench", "--quick", "--only", "nope"])
         assert code == 2

@@ -1,18 +1,18 @@
-"""Differential property tests: fast lanes vs their scalar oracles.
+"""Differential property tests: memsim fast lanes vs their scalar oracles.
 
-The vectorized fast lanes (batch cache simulation, batched coalescers,
-compiled kernel closures) are only allowed to exist because the scalar
-paths remain as oracles. These tests pin the contract **bit-for-bit**:
+The vectorized memsim lanes (batch cache simulation, batched
+coalescers) are only allowed to exist because the scalar paths remain
+as oracles. These tests pin the contract **bit-for-bit**:
 
 * ``Cache.access_batch`` must produce identical stats, identical
   per-access miss masks *and* identical final LRU state to the scalar
   per-access loop, over randomized geometries and trace styles —
   including state carried across mixed-lane call windows;
-* the compiled-to-closures interpreter must produce fingerprint
-  (checksum) identical arrays to the tree-walking ``interpret_point``
-  across all 13 conformance variants;
 * the batched coalescers must equal the per-window scalar calls
   exactly, window by window.
+
+The kernel-execution fast lane has its own gate against the
+interpreter: ``tests/test_vectorize_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.generator import generate
-from repro.core.kernels import KERNELS, SCALAR_Q, initial_arrays
-from repro.core.params import DataType, KernelName
 from repro.errors import InvalidValueError
 from repro.memsim import (
     Cache,
@@ -31,14 +28,6 @@ from repro.memsim import (
     coalesce_fixed_groups_batch,
     coalesce_sequential,
     coalesce_sequential_batch,
-)
-from repro.oclc import compile_kernel, compile_source_cached, specialize
-from repro.oclc.interp import BufferArg
-from repro.verify.conformance import (
-    _VARIANT_AXES,
-    interpret_point,
-    output_checksum,
-    variant_grid,
 )
 
 # -- cache: batch lane == scalar lane -----------------------------------------
@@ -175,40 +164,3 @@ def test_coalesce_batch_requires_2d():
         coalesce_fixed_groups_batch(flat, 4)
     with pytest.raises(InvalidValueError):
         coalesce_sequential_batch(flat, 4)
-
-
-# -- compiled kernels: fingerprint-identical to the interpreter ----------------
-
-
-def _run_lane(params, factory):
-    gen = generate(params)
-    checked = compile_source_cached(
-        gen.source, {k: str(v) for k, v in gen.defines.items()}
-    )
-    initial = initial_arrays(params.word_count, params.dtype)
-    arrays = {name: initial[name].copy() for name in ("a", "b", "c")}
-    spec = KERNELS[params.kernel]
-    call = {name: BufferArg(arrays[name]) for name in (*spec.reads, spec.writes)}
-    if spec.uses_scalar:
-        call["q"] = SCALAR_Q
-    factory(checked, gen.kernel_name).run(gen.global_size, call, gen.local_size)
-    return arrays
-
-
-@pytest.mark.parametrize("kernel", [KernelName.COPY, KernelName.SCALE, KernelName.TRIAD])
-@pytest.mark.parametrize("dtype", [DataType.FLOAT, DataType.INT])
-def test_compiled_fingerprints_match_interpreter_all_variants(kernel, dtype):
-    """All 13 conformance variants: compiled == tree-walking interp."""
-    points = variant_grid(kernel, dtype, 4096)
-    assert len(points) == len(_VARIANT_AXES)
-    for params in points:
-        want = output_checksum(interpret_point(params))
-        got = output_checksum(_run_lane(params, compile_kernel))
-        assert got == want, params.describe()
-
-
-def test_compiled_matches_specialized_double():
-    for params in variant_grid(KernelName.ADD, DataType.DOUBLE, 2048):
-        compiled = output_checksum(_run_lane(params, compile_kernel))
-        specialized = output_checksum(_run_lane(params, specialize))
-        assert compiled == specialized, params.describe()

@@ -73,7 +73,7 @@ def test_interpreter_matches_numpy_oracle(expr, x, y):
 @settings(max_examples=60, deadline=None)
 @given(int_exprs(), st.integers(-50, 50), st.integers(-50, 50))
 def test_specializer_matches_interpreter_on_fuzzed_exprs(expr, x, y):
-    from repro.oclc import specialize
+    from repro.oclc import vectorize_kernel
 
     text, _ = expr
     src = (
@@ -86,7 +86,7 @@ def test_specializer_matches_interpreter_on_fuzzed_exprs(expr, x, y):
     args_a = {"out": BufferArg(a), "x": np.int32(x), "y": np.int32(y)}
     args_b = {"out": BufferArg(b), "x": np.int32(x), "y": np.int32(y)}
     run_kernel(program, "k", (8,), args_a)
-    specialize(program).run((8,), args_b)
+    vectorize_kernel(program).run((8,), args_b)
     np.testing.assert_array_equal(a, b)
 
 

@@ -20,8 +20,8 @@ from repro.oclc import (
     compile_source,
     parse,
     run_kernel,
-    specialize,
     to_source,
+    vectorize_kernel,
 )
 
 # -- strategy: a random (valid) tuning point small enough to interpret -------
@@ -94,7 +94,9 @@ def test_specializer_matches_interpreter_on_generated_kernels(params):
         return out
 
     run_kernel(program, gen.kernel_name, gen.global_size, args(interp_arrays))
-    specialize(program, gen.kernel_name).run(gen.global_size, args(spec_arrays))
+    vectorize_kernel(program, gen.kernel_name).run(
+        gen.global_size, args(spec_arrays)
+    )
 
     for name in ("a", "b", "c"):
         np.testing.assert_array_equal(

@@ -1,7 +1,7 @@
-"""Sum reductions in the specializer (dot products and friends).
+"""Sum reductions in the array lane (dot products and friends).
 
 Float comparisons here pit one summation order against another (the
-specializer's partial-sum vectorization vs NumPy's pairwise ``dot`` or
+array lane's partial-sum vectorization vs NumPy's pairwise ``dot`` or
 the interpreter's sequential loop), so they use the pinned reduction
 budget from :mod:`repro.verify.tolerance` instead of ad-hoc
 ``pytest.approx`` epsilons.
@@ -14,7 +14,13 @@ import pytest
 
 from repro.errors import UnsupportedKernelError
 from repro.gpustream import run_gpu_stream
-from repro.oclc import BufferArg, compile_source, run_kernel, specialize
+from repro.oclc import (
+    BufferArg,
+    compile_source,
+    run_kernel,
+    specialize,
+    vectorize_kernel,
+)
 from repro.verify import max_ulp_diff, reduction_ulps
 
 
@@ -45,7 +51,7 @@ class TestReductions:
         a = rng.random(512)
         b = rng.random(512)
         c = np.zeros(1)
-        specialize(p).run((1,), {"a": BufferArg(a), "b": BufferArg(b), "c": BufferArg(c)})
+        vectorize_kernel(p).run((1,), {"a": BufferArg(a), "b": BufferArg(b), "c": BufferArg(c)})
         assert_reduction_close(c[0], np.dot(a, b), terms=512)
 
     def test_matches_interpreter(self, rng):
@@ -54,7 +60,7 @@ class TestReductions:
         b = rng.random(128)
         c_fast = np.zeros(1)
         c_ref = np.zeros(1)
-        specialize(p).run(
+        vectorize_kernel(p).run(
             (1,), {"a": BufferArg(a), "b": BufferArg(b), "c": BufferArg(c_fast)}
         )
         run_kernel(
@@ -74,7 +80,7 @@ __kernel void sum_k(__global const int *a, __global int *c) {
         p = compile_source(src)
         a = np.arange(16, dtype=np.int32)
         c = np.zeros(1, np.int32)
-        specialize(p).run((1,), {"a": BufferArg(a), "c": BufferArg(c)})
+        vectorize_kernel(p).run((1,), {"a": BufferArg(a), "c": BufferArg(c)})
         assert c[0] == 10 + np.arange(16).sum()
 
     def test_commuted_assignment_form(self):
@@ -89,7 +95,7 @@ __kernel void sum_k(__global const int *a, __global int *c) {
         p = compile_source(src)
         a = np.arange(8, dtype=np.int32)
         c = np.zeros(1, np.int32)
-        specialize(p).run((1,), {"a": BufferArg(a), "c": BufferArg(c)})
+        vectorize_kernel(p).run((1,), {"a": BufferArg(a), "c": BufferArg(c)})
         assert c[0] == 28
 
     def test_integer_wraparound_matches_sequential(self):
@@ -105,7 +111,7 @@ __kernel void sum_k(__global const int *a, __global int *c) {
         a = np.full(64, 2**26, dtype=np.int32)
         fast = np.zeros(1, np.int32)
         ref = np.zeros(1, np.int32)
-        specialize(p).run((1,), {"a": BufferArg(a), "c": BufferArg(fast)})
+        vectorize_kernel(p).run((1,), {"a": BufferArg(a), "c": BufferArg(fast)})
         run_kernel(p, "sum_k", (1,), {"a": BufferArg(a), "c": BufferArg(ref)})
         assert fast[0] == ref[0]
 
@@ -125,7 +131,7 @@ __kernel void k(__global const double *a, __global double *c) {
         p = compile_source(src)
         a = rng.random(64)
         c = np.zeros(2)
-        specialize(p).run((1,), {"a": BufferArg(a), "c": BufferArg(c)})
+        vectorize_kernel(p).run((1,), {"a": BufferArg(a), "c": BufferArg(c)})
         assert_reduction_close(c[0], a.sum(), terms=64)
         assert_reduction_close(c[1], (a * a).sum(), terms=64)
 

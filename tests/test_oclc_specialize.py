@@ -1,4 +1,5 @@
-"""Vectorized specializer: equivalence with the interpreter + safety refusals."""
+"""Array lane vs the interpreter on handwritten kernels, plus the
+specializer's safety refusals."""
 
 from __future__ import annotations
 
@@ -6,11 +7,17 @@ import numpy as np
 import pytest
 
 from repro.errors import UnsupportedKernelError
-from repro.oclc import BufferArg, compile_source, run_kernel, specialize
+from repro.oclc import (
+    BufferArg,
+    compile_source,
+    run_kernel,
+    specialize,
+    vectorize_kernel,
+)
 
 
 def both_paths(src, global_size, defines=None, **arrays):
-    """Run interpreter and specializer on copies of the same inputs."""
+    """Run interpreter and array lane on copies of the same inputs."""
     p = compile_source(src, defines)
     name = p.kernel().name
     interp_arrays = {k: v.copy() for k, v in arrays.items() if isinstance(v, np.ndarray)}
@@ -20,7 +27,7 @@ def both_paths(src, global_size, defines=None, **arrays):
         p, name, global_size,
         {**{k: BufferArg(v) for k, v in interp_arrays.items()}, **scalars},
     )
-    specialize(p).run(
+    vectorize_kernel(p).run(
         global_size,
         {**{k: BufferArg(v) for k, v in spec_arrays.items()}, **scalars},
     )
@@ -167,17 +174,10 @@ class TestRefusals:
             " int acc = 0;"
             " for (int i = 0; i < 8; i++) { acc = acc + a[i]; c[i] = acc; } }"
         )
-        # acc reads and writes a local across iterations; either analysis
-        # or execution must refuse rather than silently diverge.
+        # acc reads and writes a local across iterations: the analysis
+        # must refuse rather than let execution silently diverge.
         with pytest.raises(UnsupportedKernelError):
-            sp = specialize(p)
-            sp.run(
-                (1,),
-                {
-                    "a": BufferArg(np.arange(8, dtype=np.int32)),
-                    "c": BufferArg(np.zeros(8, dtype=np.int32)),
-                },
-            )
+            specialize(p)
 
     def test_multidimensional_ndrange_refused(self):
         p = compile_source(
@@ -185,6 +185,6 @@ class TestRefusals:
             "{ size_t i = get_global_id(0); a[i] = 1; }"
         )
         with pytest.raises(UnsupportedKernelError):
-            specialize(p).run(
+            vectorize_kernel(p).run(
                 (2, 2), {"a": BufferArg(np.zeros(4, np.int32))}
             )

@@ -13,7 +13,13 @@ from repro.core import (
     generate,
 )
 from repro.errors import InterpError, SemanticError, SweepError
-from repro.oclc import BufferArg, analyze, compile_source, run_kernel, specialize
+from repro.oclc import (
+    BufferArg,
+    analyze,
+    compile_source,
+    run_kernel,
+    vectorize_kernel,
+)
 from repro.units import KIB
 
 VLOAD_COPY = """
@@ -76,7 +82,7 @@ class TestExecution:
         p = compile_source(VLOAD_COPY)
         a = np.arange(32, dtype=np.int32)
         c = np.zeros(32, dtype=np.int32)
-        specialize(p).run((8,), {"a": BufferArg(a), "c": BufferArg(c)})
+        vectorize_kernel(p).run((8,), {"a": BufferArg(a), "c": BufferArg(c)})
         assert np.array_equal(c, a)
 
     def test_arithmetic_on_loaded_vectors(self):

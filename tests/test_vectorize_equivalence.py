@@ -1,24 +1,24 @@
 """Differential gate for the whole-NDRange vectorized execution lane.
 
-One kernel semantics, three drivers: the work-item interpreter
-(``repro.oclc.interp``, the oracle), the compiled scalar lane
-(``repro.oclc.compile``) and the vectorized whole-array lane
+One kernel semantics, two drivers: the work-item interpreter
+(``repro.oclc.interp``, the oracle) and the vectorized whole-array lane
 (``repro.oclc.vectorize``). The acceptance criterion throughout this
 file is *bitwise* identity — ``output_checksum`` hashes raw array
 bytes and :meth:`RunResult.fingerprint` hashes the full result row —
 never tolerance-based closeness. The array lane either produces the
-exact same bits as the other two lanes or it must refuse the kernel
-with :class:`UnsupportedKernelError` (which the queue turns into a
-silent per-kernel fallback); silent divergence is the one outcome
-these tests exist to make impossible.
+exact same bits as the interpreter (directly, or through the
+interpreter checksums the golden corpus pins) or it must refuse the
+kernel with :class:`UnsupportedKernelError`, which the queue turns into
+a silent per-kernel fallback to the interpreter; silent divergence is
+the one outcome these tests exist to make impossible.
 
 Covers: the full 13-variant conformance grid x 4 kernels x 3 dtypes,
 ragged tails (sizes that leave unroll/nested-loop remainders), the
 grid-point-stacked batch path (``VectorKernel.run_batch`` and
-``ExecutionEngine.run_batch``), lane selection/fallback plumbing,
-hypothesis fuzzing with greedy shrinking, golden-corpus pinning, and
-the ``vectorize`` fault site's negative path on all three scheduler
-backends.
+``ExecutionEngine.run_batch``), the queue's fallback to the
+interpreter, hypothesis fuzzing with greedy shrinking, golden-corpus
+pinning, and the ``vectorize`` fault site's negative path on all three
+scheduler backends.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core import explore
 from repro.core.engine import ExecutionEngine
 from repro.core.generator import generate
@@ -42,18 +43,16 @@ from repro.core.params import (
 )
 from repro.core.runner import BenchmarkRunner
 from repro.core.sweep import ParameterSweep
-from repro.errors import (
-    BenchmarkError,
-    SweepError,
-    UnsupportedKernelError,
-)
+from repro.errors import SweepError, UnsupportedKernelError
 from repro.faults import FAULT_SITES, FaultPlan, FaultSpec
 from repro.obs import metrics as obs_metrics
-from repro.ocl.queue import EXEC_LANES
+from repro.ocl import CommandQueue, Context, Program
+from repro.ocl.platform import find_device
 from repro.oclc import (
     VectorKernel,
-    compile_kernel,
+    compile_source,
     compile_source_cached,
+    run_kernel,
     vectorize_kernel,
 )
 from repro.oclc.interp import BufferArg
@@ -93,12 +92,16 @@ def _checksum(params: TuningParameters, factory) -> str:
     return output_checksum(_run_lane(params, factory))
 
 
-# -- full conformance grid: vectorized == compiled, bit for bit ---------------
+def _oracle(params: TuningParameters) -> str:
+    return output_checksum(interpret_point(params))
+
+
+# -- full conformance grid: vectorized == interpreter, bit for bit ------------
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.value)
 @pytest.mark.parametrize("dtype", ALL_DTYPES, ids=lambda d: d.value)
-def test_vectorized_matches_compiled_full_grid(kernel, dtype):
+def test_vectorized_matches_interpreter_full_grid(kernel, dtype):
     """Every conformance variant vectorizes — no fallback — bit-exactly."""
     points = variant_grid(kernel, dtype, ARRAY_BYTES)
     assert len(points) == len(_VARIANT_AXES)
@@ -106,29 +109,16 @@ def test_vectorized_matches_compiled_full_grid(kernel, dtype):
         # the conformance grid is the supported envelope: a refusal
         # here is a regression in the eligibility gate, not a fallback
         got = _checksum(params, vectorize_kernel)
-        want = _checksum(params, compile_kernel)
-        assert got == want, params.describe()
+        assert got == _oracle(params), params.describe()
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.value)
 def test_vectorized_matches_interpreter_subset(kernel):
-    """Tier-1 oracle leg: a representative slice against the interpreter."""
+    """A quick representative slice of the grid against the interpreter."""
     for dtype in (DataType.INT, DataType.DOUBLE):
         for params in variant_grid(kernel, dtype, ARRAY_BYTES)[::4]:
             got = _checksum(params, vectorize_kernel)
-            want = output_checksum(interpret_point(params))
-            assert got == want, params.describe()
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.value)
-@pytest.mark.parametrize("dtype", ALL_DTYPES, ids=lambda d: d.value)
-def test_vectorized_matches_interpreter_full_grid(kernel, dtype):
-    """The full three-lane cross (interpreter leg is slow: --runslow)."""
-    for params in variant_grid(kernel, dtype, ARRAY_BYTES):
-        interp = output_checksum(interpret_point(params))
-        assert _checksum(params, vectorize_kernel) == interp, params.describe()
-        assert _checksum(params, compile_kernel) == interp, params.describe()
+            assert got == _oracle(params), params.describe()
 
 
 # -- ragged tails -------------------------------------------------------------
@@ -158,7 +148,7 @@ def test_ragged_tails_bit_identical(kernel):
             kernel=kernel, dtype=DataType.FLOAT, **changes
         )
         got = _checksum(params, vectorize_kernel)
-        assert got == _checksum(params, compile_kernel), params.describe()
+        assert got == _oracle(params), params.describe()
 
 
 # -- batch path: stacked grid points == one-at-a-time -------------------------
@@ -258,20 +248,37 @@ def _engine(**kw) -> ExecutionEngine:
     return ExecutionEngine("cpu", **kw)
 
 
+def _refuse_array_lane(monkeypatch) -> None:
+    """Make every array-lane build refuse, as an ineligible kernel does."""
+
+    def refuse(program, kernel_name=None):
+        raise UnsupportedKernelError("array lane refused by the test")
+
+    monkeypatch.setattr("repro.oclc.vectorize.vectorize_kernel", refuse)
+
+
 class TestEngineLanes:
-    def test_fingerprints_identical_across_exec_lanes(self):
+    def test_fingerprints_identical_across_exec_lanes(self, monkeypatch):
         params = TuningParameters(array_bytes=64 * KIB, vector_width=4)
-        prints = {
-            lane: _engine(exec_lane=lane).run(params).fingerprint()
-            for lane in EXEC_LANES
-        }
-        assert len(set(prints.values())) == 1, prints
+        default = _engine().run(params).fingerprint()
+        _refuse_array_lane(monkeypatch)
+        reg = obs_metrics.MetricsRegistry()
+        with obs_metrics.use_registry(reg):
+            fallback = _engine().run(params).fingerprint()
+        assert fallback == default
+        counters = reg.snapshot()["counters"]
+        assert counters.get("fastpath.runs.interpreted", 0) > 0
+        assert "fastpath.runs.vectorized" not in counters
 
     def test_unknown_lane_rejected(self):
-        with pytest.raises(BenchmarkError, match="exec_lane"):
+        # the lane is no longer selectable anywhere: a stale caller
+        # fails loudly instead of having its choice silently ignored
+        with pytest.raises(TypeError, match="exec_lane"):
             _engine(exec_lane="simd")
-        with pytest.raises(BenchmarkError, match="exec_lane"):
+        with pytest.raises(TypeError, match="exec_lane"):
             BenchmarkRunner("cpu", exec_lane="turbo")
+        with pytest.raises(SystemExit):
+            main(["run", "--exec-lane", "interp"])
 
     def test_run_batch_matches_run_fingerprints(self):
         reg = obs_metrics.MetricsRegistry()
@@ -303,15 +310,102 @@ class TestEngineLanes:
             r.fingerprint() for r in single
         ]
 
-    def test_run_batch_respects_compiled_lane_opt_out(self):
-        # exec_lane="compiled" opts out of the array lane, so batching
-        # must quietly degrade to the per-point path
-        engine = ExecutionEngine("aocl", ntimes=2, exec_lane="compiled")
+    def test_run_batch_degrades_when_array_lane_refuses(self, monkeypatch):
+        # a kernel the array lane refuses cannot be primed, so batching
+        # must quietly degrade to the per-point (interpreted) path
+        points = [p.with_(array_bytes=4 * KIB) for p in BATCH_POINTS]
+
+        def run_batch() -> tuple[list[str], int]:
+            reg = obs_metrics.MetricsRegistry()
+            with obs_metrics.use_registry(reg):
+                results = ExecutionEngine("aocl", ntimes=2).run_batch(points)
+            counters = reg.snapshot()["counters"]
+            prints = [r.fingerprint() for r in results]
+            return prints, counters.get("engine.batched_points", 0)
+
+        default, default_batched = run_batch()
+        _refuse_array_lane(monkeypatch)
+        fallback, fallback_batched = run_batch()
+        assert fallback == default
+        assert default_batched == len(points) and fallback_batched == 0
+
+
+# -- the queue's only lane choice: array lane, else the interpreter -----------
+
+#: a data-dependent ``if``: the specializer refuses it at build time
+CLAMP_SRC = """
+__kernel void clamp_k(__global const int *a, __global int *c) {
+    size_t i = get_global_id(0);
+    if (a[i] > 4) c[i] = 4; else c[i] = a[i];
+}
+"""
+
+#: with ``a`` and ``c`` bound to one buffer, sequential work-items smear
+#: ``a[0]`` across the array, while whole-array evaluation would shift it
+SHIFT_SRC = """
+__kernel void shift_k(__global const int *a, __global int *c) {
+    size_t i = get_global_id(0);
+    c[i + 1] = a[i];
+}
+"""
+
+
+def _queue_kernel(src: str, name: str, **arrays: np.ndarray):
+    """A fresh cpu queue, the built kernel and one buffer per array."""
+    device = find_device("cpu")
+    ctx = Context(device)
+    kernel = Program(ctx, src).build().create_kernel(name)
+    buffers = {n: ctx.create_buffer(hostbuf=arr) for n, arr in arrays.items()}
+    return CommandQueue(ctx, device), kernel, buffers
+
+
+class TestQueueFallback:
+    def test_control_flow_kernel_runs_interpreted(self):
+        a = np.arange(16, dtype=np.int32)
+        want = np.zeros(16, dtype=np.int32)
+        run_kernel(
+            compile_source(CLAMP_SRC), "clamp_k", (16,),
+            {"a": BufferArg(a.copy()), "c": BufferArg(want)},
+        )
+        assert np.array_equal(want, np.minimum(a, 4))
+        queue, kernel, bufs = _queue_kernel(
+            CLAMP_SRC, "clamp_k", a=a, c=np.zeros(16, dtype=np.int32)
+        )
         reg = obs_metrics.MetricsRegistry()
         with obs_metrics.use_registry(reg):
-            batched = engine.run_batch(BATCH_POINTS)
-        assert all(r.ok for r in batched)
-        assert "engine.batched_points" not in reg.snapshot()["counters"]
+            queue.enqueue_nd_range_kernel(kernel.set_args(**bufs), (16,))
+        assert np.array_equal(bufs["c"].view(np.int32), want)
+        counters = reg.snapshot()["counters"]
+        assert counters.get("fastpath.runs.interpreted") == 1
+        assert "fastpath.runs.vectorized" not in counters
+
+    def test_aliased_launch_demotes_to_interpreter(self):
+        n = 16
+        start = np.arange(1, n + 1, dtype=np.int32)
+        want = start.copy()
+        run_kernel(
+            compile_source(SHIFT_SRC), "shift_k", (n - 1,),
+            {"a": BufferArg(want), "c": BufferArg(want)},
+        )
+        assert np.array_equal(want, np.ones(n, dtype=np.int32))
+        queue, kernel, bufs = _queue_kernel(
+            SHIFT_SRC, "shift_k",
+            a=start, c=np.zeros(n, dtype=np.int32), shared=start,
+        )
+        reg = obs_metrics.MetricsRegistry()
+        with obs_metrics.use_registry(reg):
+            # distinct buffers: the array lane builds and runs
+            kernel.set_args(a=bufs["a"], c=bufs["c"])
+            queue.enqueue_nd_range_kernel(kernel, (n - 1,))
+            assert np.array_equal(bufs["c"].view(np.int32)[1:], start[:-1])
+            # one buffer as input and output: _check_hazards refuses
+            # the launch and the interpreter runs it instead
+            kernel.set_args(a=bufs["shared"], c=bufs["shared"])
+            queue.enqueue_nd_range_kernel(kernel, (n - 1,))
+        assert np.array_equal(bufs["shared"].view(np.int32), want)
+        counters = reg.snapshot()["counters"]
+        assert counters.get("fastpath.runs.vectorized") == 1
+        assert counters.get("fastpath.runs.interpreted") == 1
 
 
 class TestSlotBatchScheduler:
@@ -343,7 +437,7 @@ def _vectorize_diverges(params: TuningParameters) -> bool:
         got = _checksum(params, vectorize_kernel)
     except UnsupportedKernelError:
         return False  # a loud refusal is the allowed escape hatch
-    return got != _checksum(params, compile_kernel)
+    return got != _oracle(params)
 
 
 @settings(max_examples=30, deadline=None)
