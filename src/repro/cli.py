@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default=None,
-        help="execution backend for sweep points (default: thread when "
-        "--jobs > 1, else serial); 'process' survives worker crashes",
+        help="execution backend for sweep points (default: process when "
+        "--jobs > 1, else serial); the process pool survives worker crashes",
     )
     sweep.add_argument(
         "--slot-batch",
@@ -269,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default=None,
-        help="execution backend for evaluations (default: thread when "
-        "--jobs > 1, else serial)",
+        help="execution backend for evaluations (default: process when "
+        "--jobs > 1, else serial); small search batches rarely gain from "
+        "--jobs",
     )
     tune.add_argument(
         "--journal",
@@ -322,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     jr_compact = jr_sub.add_parser(
         "compact",
         help="checkpoint-compact a journal family into one all-v2 live "
-        "file (dedups superseded records, upgrades v1, unlinks segments)",
+        "file (dedups superseded records, quarantines unreadable ones, "
+        "unlinks segments)",
     )
     jr_compact.add_argument("path", help="the journal's live file path")
     jr_compact.add_argument(

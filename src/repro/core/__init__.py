@@ -59,7 +59,6 @@ from .scheduler import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 from .search import (
@@ -95,7 +94,6 @@ __all__ = [
     "BACKENDS",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
     "FaultPlan",

@@ -38,10 +38,10 @@ the cache outcome of the compile and plan stages. Campaign-wide
 counters live on :attr:`ExecutionEngine.stats` /
 :meth:`ExecutionEngine.stats_snapshot`.
 
-Concurrency: one engine owns one context/queue and is *not* re-entrant,
-but :meth:`worker_clone` derives sibling engines that share the build
-cache and the stats sink — the parallel sweep executor gives each
-worker thread its own clone.
+Concurrency: one engine owns one context/queue and is *not* re-entrant.
+Parallel campaigns run on worker processes, each rebuilding a sibling
+from :meth:`worker_spec`; their stats, build-cache hits and misses
+included, fold back through :meth:`EngineStats.merge_snapshot`.
 
 Resilience: transient failures (marked with the
 :class:`~repro.errors.TransientError` mixin — injected by a
@@ -90,7 +90,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..ocl import Buffer, CommandQueue, Context, Program
 from ..ocl.platform import Device, find_device
-from ..ocl.program import BuildCache
+from ..ocl.program import CACHE_COUNTERS, BuildCache
 from ..rng import make_rng
 from .generator import GeneratedKernel, generate
 from .history import point_fingerprint
@@ -100,7 +100,8 @@ from .results import RunResult
 from .validate import validate_solution
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..devices.base import ExecutionPlan
+    from ..devices.base import DeviceModel, ExecutionPlan
+    from ..devices.specs import DeviceSpec
     from ..oclc import CheckedProgram
 
 __all__ = ["ExecutionEngine", "EngineStats", "Watchdog", "WorkerSpec", "STAGES"]
@@ -161,8 +162,10 @@ class _PointBudget:
 class EngineStats:
     """Campaign-wide stage timing and point counters.
 
-    Shared (thread-safely) between an engine and its worker clones, so
-    a parallel sweep aggregates into one place.
+    Process-pool workers ship their increments home, build-cache
+    hits/misses (:attr:`cache_counts`) included, and
+    :meth:`merge_snapshot` folds them in. The lock serves the obs
+    server thread, which reads the sink while a campaign runs.
     """
 
     def __init__(self) -> None:
@@ -171,6 +174,8 @@ class EngineStats:
         self.points = 0
         self.failures = 0
         self.retries = 0
+        #: build-cache hits/misses merged in from worker processes
+        self.cache_counts: dict[str, int] = dict.fromkeys(CACHE_COUNTERS, 0)
 
     def record_point(self, stage_s: dict[str, float], ok: bool) -> None:
         with self._lock:
@@ -198,6 +203,7 @@ class EngineStats:
                 "failures": self.failures,
                 "retries": self.retries,
                 "stage_s": dict(self.stage_s),
+                **self.cache_counts,
             }
 
     def merge_snapshot(
@@ -205,23 +211,26 @@ class EngineStats:
     ) -> None:
         """Fold another stats sink's :meth:`snapshot` into this one.
 
-        Worker *threads* share the sink directly, but worker *processes*
-        (the scheduler's process backend) each accumulate into their own
-        and ship incremental deltas home with every point outcome — this
-        is the receiving end. With ``mirror_metrics=True`` the merged
-        counters are also mirrored into the obs metrics registry in bulk
-        so ``--metrics`` totals stay correct; pass ``False`` when the
-        worker's own metric counts already arrive via the telemetry
-        relay (:mod:`repro.obs.relay`), which would double-count them.
+        Worker processes (the scheduler's process backend) each
+        accumulate into their own sink and ship incremental deltas home
+        with every point outcome — this is the receiving end. With
+        ``mirror_metrics=True`` the merged counters are also mirrored
+        into the obs metrics registry in bulk so ``--metrics`` totals
+        stay correct; pass ``False`` when the worker's own metric counts
+        already arrive via the telemetry relay (:mod:`repro.obs.relay`),
+        which would double-count them.
         """
         points = int(snapshot.get("points", 0) or 0)
         failures = int(snapshot.get("failures", 0) or 0)
         retries = int(snapshot.get("retries", 0) or 0)
+        cache = {name: int(snapshot.get(name, 0) or 0) for name in CACHE_COUNTERS}
         stage_s = snapshot.get("stage_s") or {}
         with self._lock:
             self.points += points
             self.failures += failures
             self.retries += retries
+            for name, count in cache.items():
+                self.cache_counts[name] += count
             for name, seconds in stage_s.items():  # type: ignore[union-attr]
                 self.stage_s[name] = self.stage_s.get(name, 0.0) + float(seconds)
         if not mirror_metrics:
@@ -232,6 +241,9 @@ class EngineStats:
             obs_metrics.count("engine.failures", failures)
         if retries:
             obs_metrics.count("engine.retries", retries)
+        for name, count in cache.items():
+            if count:
+                obs_metrics.count(f"build_cache.{name}", count)
         for name, seconds in stage_s.items():  # type: ignore[union-attr]
             if seconds:
                 obs_metrics.count(f"engine.stage_s.{name}", float(seconds))
@@ -263,19 +275,22 @@ class _StageClock:
 class WorkerSpec:
     """A picklable recipe for rebuilding a sibling engine elsewhere.
 
-    :meth:`ExecutionEngine.worker_clone` hands a worker *thread* a
-    sibling sharing the live cache and stats objects; a worker
-    *process* cannot share either, so the scheduler's process backend
-    ships this spec across the ``fork``/``spawn`` boundary instead and
-    calls :meth:`ExecutionEngine.from_worker_spec` on the far side.
-    Faults travel as the declarative :class:`~repro.faults.FaultSpec`
-    (the executable :class:`~repro.faults.FaultPlan` is rebuilt from it,
-    and is a pure function of the spec, so fault decisions are
-    identical in every worker); each worker gets a private build cache
-    and stats sink, merged home via :meth:`EngineStats.merge_snapshot`.
+    The scheduler's process backend ships this spec across the
+    ``fork``/``spawn`` boundary and calls
+    :meth:`ExecutionEngine.from_worker_spec` on the far side. The device
+    travels as its model class plus its frozen
+    :class:`~repro.devices.specs.DeviceSpec`, so a custom device
+    (:func:`~repro.devices.custom.device_from_dict`) is rebuilt
+    exactly rather than looked up by name. Faults travel as the
+    declarative :class:`~repro.faults.FaultSpec` (the executable
+    :class:`~repro.faults.FaultPlan` is rebuilt from it, and is a pure
+    function of the spec, so fault decisions are identical in every
+    worker); each worker gets a private build cache and stats sink,
+    merged home via :meth:`EngineStats.merge_snapshot`.
     """
 
-    device: str
+    model_cls: "type[DeviceModel]"
+    device_spec: "DeviceSpec"
     ntimes: int
     warmup: int
     validate: bool
@@ -300,7 +315,6 @@ class ExecutionEngine:
         validate: bool = True,
         verify: bool = False,
         cache: BuildCache | bool = True,
-        stats: EngineStats | None = None,
         faults: FaultPlan | None = None,
         watchdog: Watchdog | None = None,
         retries: int = 2,
@@ -324,7 +338,7 @@ class ExecutionEngine:
             self.cache = None
         else:
             self.cache = cache
-        self.stats = stats if stats is not None else EngineStats()
+        self.stats = EngineStats()
         self.faults = faults
         self.watchdog = watchdog
         self.retries = retries
@@ -341,28 +355,12 @@ class ExecutionEngine:
     def target(self) -> str:
         return self.device.short_name
 
-    def worker_clone(self) -> "ExecutionEngine":
-        """A sibling engine for another thread: shares the build cache
-        and the stats sink, owns a fresh context/queue."""
-        return ExecutionEngine(
-            self.device,
-            ntimes=self.ntimes,
-            warmup=self.warmup,
-            validate=self.validate,
-            verify=self.verify,
-            cache=self.cache if self.cache is not None else False,
-            stats=self.stats,
-            faults=self.faults,
-            watchdog=self.watchdog,
-            retries=self.retries,
-            backoff_s=self.backoff_s,
-            backoff_cap_s=self.backoff_cap_s,
-        )
-
     def worker_spec(self) -> WorkerSpec:
         """This engine's configuration as a picklable :class:`WorkerSpec`."""
+        model = self.device.model
         return WorkerSpec(
-            device=self.device.short_name,
+            model_cls=type(model),
+            device_spec=model.spec,
             ntimes=self.ntimes,
             warmup=self.warmup,
             validate=self.validate,
@@ -379,13 +377,13 @@ class ExecutionEngine:
     def from_worker_spec(cls, spec: WorkerSpec) -> "ExecutionEngine":
         """Rebuild a sibling engine from a spec (in a worker process).
 
-        The sibling gets a *fresh* build cache and stats sink — process
-        workers cannot share the parent's — but byte-identical behavior
-        everywhere else: cache state never changes what a point
-        measures, only how fast it is obtained.
+        The sibling gets a *fresh* device model, build cache and stats
+        sink — process workers cannot share the parent's — but
+        byte-identical behavior everywhere else: cache state never
+        changes what a point measures, only how fast it is obtained.
         """
         return cls(
-            spec.device,
+            Device(spec.model_cls(spec.device_spec)),
             ntimes=spec.ntimes,
             warmup=spec.warmup,
             validate=spec.validate,
@@ -622,18 +620,16 @@ class ExecutionEngine:
         obs_metrics.count("engine.batched_points", len(group))
 
     def stats_snapshot(self) -> dict[str, object]:
-        """Campaign counters: stage seconds, points, cache hits/misses."""
+        """Campaign counters: stage seconds, points, cache hits/misses.
+
+        Cache hits and misses sum this engine's own build cache and the
+        counts merged in from worker processes; ``frontend_entries`` is
+        the size of this engine's own front-end cache.
+        """
         out = self.stats.snapshot()
-        if self.cache is not None:
-            out.update(self.cache.stats())
-        else:
-            out.update(
-                frontend_hits=0,
-                frontend_misses=0,
-                plan_hits=0,
-                plan_misses=0,
-                frontend_entries=0,
-            )
+        own = self.cache.stats() if self.cache is not None else {}
+        for name in (*CACHE_COUNTERS, "frontend_entries"):
+            out[name] = out.get(name, 0) + own.get(name, 0)
         return out
 
     # -- stages -----------------------------------------------------------------

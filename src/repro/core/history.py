@@ -24,8 +24,8 @@ and **quarantines** — never silently drops — mid-file corruption to a
 into sealed ``.seg-NNNNN`` segments, and
 :func:`compact_journal`/:func:`fsck_journal` (CLI:
 ``mp-stream journal compact|fsck``) checkpoint and audit a journal
-family offline.  v1 journals (pre-WAL, no framing) still load, with a
-deprecation note in the fsck report.  Durable journals additionally
+family offline.  A record of any other schema is unreadable and
+quarantined like corruption.  Durable journals additionally
 ``fsync`` the parent directory on creation and every rotation, so a
 power loss cannot lose the whole file to an unsynced directory entry.
 """
@@ -272,7 +272,8 @@ def point_fingerprint(target: str, params: TuningParameters) -> str:
 
 
 def _journal_core(key: str, result: RunResult) -> dict:
-    """The v2 record *before* framing: v1 fields + point key + fingerprint."""
+    """The v2 record *before* framing: the :func:`save_results` fields
+    plus the point key and the measurement fingerprint."""
     record = _result_to_record(result, detail=True)
     record["schema"] = JOURNAL_SCHEMA
     record["point"] = key
@@ -325,7 +326,7 @@ class _Entry:
     file: Path
     lineno: int
     raw: str
-    status: str  # ok | v1 | torn | corrupt | stale
+    status: str  # ok | torn | corrupt | stale
     reason: str = ""
     key: str | None = None
     result: RunResult | None = None
@@ -365,17 +366,13 @@ def _classify_line(
             return _Entry(file, lineno, raw, "torn", "truncated mid-append")
         return _Entry(file, lineno, raw, "corrupt", "unparsable JSON")
     schema = record.get("schema")
-    if schema == JOURNAL_SCHEMA:
-        status = "ok"
-        err = _frame_error(record)
-        if err:
-            return _Entry(file, lineno, raw, "corrupt", err)
-    elif schema == _SCHEMA:
-        status = "v1"
-    else:
+    if schema != JOURNAL_SCHEMA:
         return _Entry(
             file, lineno, raw, "corrupt", f"unsupported schema {schema!r}"
         )
+    err = _frame_error(record)
+    if err:
+        return _Entry(file, lineno, raw, "corrupt", err)
     try:
         key = record["point"]
         result = _result_from_record(record)
@@ -386,7 +383,7 @@ def _classify_line(
             file, lineno, raw, "stale",
             "measurement fingerprint mismatch", key=key,
         )
-    return _Entry(file, lineno, raw, status, key=key, result=result)
+    return _Entry(file, lineno, raw, "ok", key=key, result=result)
 
 
 def _scan_family(path: Path) -> _FamilyScan:
@@ -423,15 +420,14 @@ class JournalFsck:
 
     Produced by :func:`fsck_journal` (CLI: ``mp-stream journal fsck``).
     ``clean`` means every record verified: no torn tail, no corrupt
-    lines, no stale fingerprints — v1 records are *valid* (read-compat)
-    but flagged in :attr:`notes` as deprecated.
+    lines (a record of another schema is corrupt), no stale
+    fingerprints.
     """
 
     path: str
     files: tuple[str, ...]
     records: int
     valid: int
-    v1_records: int
     torn_tail: int
     corrupt: int
     stale: int
@@ -453,10 +449,7 @@ class JournalFsck:
             lines.append("status: missing")
             return "\n".join(lines)
         lines.append(f"  files: {len(self.files)} ({', '.join(self.files)})")
-        lines.append(
-            f"  records: {self.records}"
-            f"  valid: {self.valid}  v1: {self.v1_records}"
-        )
+        lines.append(f"  records: {self.records}  valid: {self.valid}")
         lines.append(
             f"  torn tail: {self.torn_tail}"
             f"  corrupt: {self.corrupt}  stale: {self.stale}"
@@ -470,12 +463,10 @@ class JournalFsck:
 
 def _fsck_from_scan(path: Path, scan: _FamilyScan) -> JournalFsck:
     notes: list[str] = []
-    torn = corrupt = stale = valid = v1 = 0
+    torn = corrupt = stale = valid = 0
     for e in scan.entries:
         if e.status == "ok":
             valid += 1
-        elif e.status == "v1":
-            v1 += 1
         elif e.status == "torn":
             torn += 1
             notes.append(
@@ -496,17 +487,11 @@ def _fsck_from_scan(path: Path, scan: _FamilyScan) -> JournalFsck:
             f"{path.name}: final record intact but unterminated"
             " (load repairs it without data loss)"
         )
-    if v1:
-        notes.append(
-            f"{v1} v1 record(s): read-compatible but deprecated —"
-            " run `mp-stream journal compact` to upgrade to v2 framing"
-        )
     return JournalFsck(
         path=str(path),
         files=tuple(f.name for f in scan.files),
         records=len(scan.entries),
         valid=valid,
-        v1_records=v1,
         torn_tail=torn,
         corrupt=corrupt,
         stale=stale,
@@ -537,7 +522,7 @@ def scan_results(path: str | Path) -> dict[str, RunResult]:
     """
     out: dict[str, RunResult] = {}
     for entry in _scan_family(Path(path)).entries:
-        if entry.status in ("ok", "v1") and entry.key is not None:
+        if entry.status == "ok" and entry.key is not None:
             assert entry.result is not None
             out[entry.key] = entry.result
     return out
@@ -617,11 +602,12 @@ def compact_journal(path: str | Path, *, durable: bool = True) -> int:
 
     Replays the family (segments then live, later records win per
     point key), rewrites the latest record of every point as a freshly
-    framed v2 line — upgrading any v1 records — into a temp file that
-    atomically replaces the live journal (``os.replace``), then unlinks
-    the sealed segments and fsyncs the directory. Corrupt/stale lines
-    are quarantined to the sidecar first, torn tails included: nothing
-    is silently dropped. Returns the number of records kept.
+    framed v2 line into a temp file that atomically replaces the live
+    journal (``os.replace``), then unlinks the sealed segments and
+    fsyncs the directory. Corrupt/stale lines — records of another
+    schema and torn tails included — are quarantined to the sidecar
+    first: nothing is silently dropped. Returns the number of records
+    kept.
     """
     path = Path(path)
     scan = _scan_family(path)
@@ -633,7 +619,7 @@ def compact_journal(path: str | Path, *, durable: bool = True) -> int:
     latest: dict[str, _Entry] = {}
     order: list[str] = []
     for e in scan.entries:
-        if e.status not in ("ok", "v1"):
+        if e.status != "ok":
             continue
         assert e.key is not None and e.result is not None
         if e.key not in latest:
@@ -666,8 +652,8 @@ class SweepJournal:
     Each record is the :func:`save_results` schema plus the point key,
     the full (JSON-reduced) ``detail``, the measurement fingerprint,
     and CRC32 + length framing over the canonical serialization —
-    still one flat JSON object per line, so v1 readers (and `jq`)
-    keep working. Appends are flushed per point under a lock; a
+    still one flat JSON object per line, so ``jq`` keeps working.
+    Appends are flushed per point under a lock; a
     campaign killed mid-append leaves at most one torn final line,
     which :meth:`load` truncates exactly (counted in
     :attr:`discarded`/:attr:`repaired`). Mid-file damage — corrupt
@@ -728,8 +714,6 @@ class SweepJournal:
         self.discarded = 0
         #: tail repairs applied on load (truncation or re-termination)
         self.repaired = 0
-        #: deprecated v1 records accepted on load (read-compat)
-        self.v1_loaded = 0
         #: fsck-style breakdown of the last :meth:`load`
         self.load_report: JournalFsck | None = None
 
@@ -782,15 +766,13 @@ class SweepJournal:
             valid = 0
             live_valid = 0
             for e in scan.entries:
-                if e.status not in ("ok", "v1"):
+                if e.status != "ok":
                     continue
                 assert e.key is not None and e.result is not None
                 done[e.key] = e.result
                 valid += 1
                 if e.file == self.path:
                     live_valid += 1
-                if e.status == "v1":
-                    self.v1_loaded += 1
             self._seq = valid
             self._live_records = live_valid
             dropped = torn_n + corrupt_n + stale_n
@@ -804,8 +786,6 @@ class SweepJournal:
                 stale=stale_n,
             )
             obs_metrics.count("journal.dropped_records", dropped)
-        if self.v1_loaded:
-            obs_metrics.count("journal.v1_records", self.v1_loaded)
         return done
 
     # -- appending ---------------------------------------------------------------

@@ -6,7 +6,7 @@ This package separates *what a campaign runs* from *where it runs*:
   ordering, dedup, journal/resume, crash-requeue policy, progress and
   obs instrumentation;
 * :class:`Executor` implementations
-  (:mod:`~repro.core.scheduler.executors`) — serial, thread-pool and
+  (:mod:`~repro.core.scheduler.executors`) — serial and
   crash-surviving process-pool backends behind one submit/outcome
   protocol.
 
@@ -23,7 +23,6 @@ from .executors import (
     ProcessExecutor,
     SerialExecutor,
     Task,
-    ThreadExecutor,
     make_executor,
 )
 
@@ -35,6 +34,5 @@ __all__ = [
     "ProcessExecutor",
     "SerialExecutor",
     "Task",
-    "ThreadExecutor",
     "make_executor",
 ]

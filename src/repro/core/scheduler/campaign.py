@@ -6,7 +6,7 @@ deduplication by :func:`~repro.core.history.point_fingerprint`,
 journal-backed checkpoint/resume, the worker-crash requeue policy,
 progress callbacks, and the campaign's obs events/spans/metrics.
 Execution itself is delegated to an :class:`~repro.core.scheduler.executors.Executor`
-(serial / thread / process — see :mod:`repro.core.scheduler.executors`),
+(serial / process — see :mod:`repro.core.scheduler.executors`),
 so :func:`repro.core.sweep.explore`, :func:`repro.core.autotune.autotune`
 and the CLI are all thin clients of one scheduling engine.
 
@@ -72,11 +72,9 @@ __all__ = ["CampaignScheduler"]
 class CampaignScheduler:
     """Orchestrates one campaign's points through a pluggable executor.
 
-    ``backend`` picks an executor by name (``serial|thread|process``);
-    ``None`` keeps the historical auto-selection — threads when
-    ``jobs > 1`` and there is more than one point to run, serial
-    otherwise. Pass ``executor=`` to inject a custom
-    :class:`~repro.core.scheduler.executors.Executor` instead.
+    ``backend`` picks an executor by name (``serial|process``);
+    ``None`` auto-selects — the process pool when ``jobs > 1`` and
+    there is more than one point to run, serial otherwise.
 
     The scheduler is reusable: each :meth:`run` call schedules one
     batch (the autotuner runs many batches through one scheduler), and
@@ -90,7 +88,6 @@ class CampaignScheduler:
         *,
         backend: str | None = None,
         jobs: int = 1,
-        executor: Executor | None = None,
         watchdog: object | None = None,
         journal: SweepJournal | str | Path | None = None,
         resume: bool = False,
@@ -111,8 +108,6 @@ class CampaignScheduler:
         resume = resume or resume_or_start
         if resume and journal is None:
             raise SweepError("resume=True requires a journal")
-        if backend is not None and executor is not None:
-            raise SweepError("pass either backend= or executor=, not both")
         if backend is not None and backend not in BACKENDS:
             raise SweepError(
                 f"unknown execution backend {backend!r}; valid: {', '.join(BACKENDS)}"
@@ -122,7 +117,6 @@ class CampaignScheduler:
         self.jobs = jobs
         #: serial-backend slot width for engine-level array batching
         self.slot_batch = slot_batch
-        self.executor = executor
         self.watchdog = watchdog
         if journal is not None and not isinstance(journal, SweepJournal):
             journal = SweepJournal(journal)
@@ -483,16 +477,11 @@ class CampaignScheduler:
         self._stop_signal = signal.Signals(signum).name
 
     def _resolve_executor(self, todo: int) -> Executor:
-        if self.executor is not None:
-            return self.executor
-        if self.backend is not None:
-            return make_executor(
-                self.backend, jobs=self.jobs, batch=self.slot_batch
-            )
-        # historical auto-selection: threads only when they can help
-        if self.jobs == 1 or todo <= 1:
-            return make_executor("serial", batch=self.slot_batch)
-        return make_executor("thread", jobs=self.jobs)
+        backend = self.backend
+        if backend is None:
+            # a pool only pays when two workers have work to share
+            backend = "serial" if self.jobs == 1 or todo <= 1 else "process"
+        return make_executor(backend, jobs=self.jobs, batch=self.slot_batch)
 
     def _finish(
         self,

@@ -6,19 +6,16 @@ owns *where* it runs. The contract is deliberately small — an executor
 opens a session, the scheduler ``submit()``\\ s :class:`Task`\\ s into it
 and pulls :class:`Outcome`\\ s back out in completion order — so new
 backends (an MPI rank pool, a remote build farm) slot in without
-touching campaign semantics. Three implementations ship:
+touching campaign semantics. Two implementations ship:
 
 :class:`SerialExecutor`
     Runs points inline on the scheduler's engine — the classic
-    single-threaded sweep. No clones, no queues, no surprises.
-:class:`ThreadExecutor`
-    A pool of worker threads, each driving its own
-    :meth:`~repro.core.engine.ExecutionEngine.worker_clone` (private
-    context/queue, shared content-addressed build cache and stats
-    sink). This is the historical ``explore(jobs=N)`` behavior.
+    single-threaded sweep and the reference every backend must match.
 :class:`ProcessExecutor`
     A pool of worker *processes*, each rebuilding a sibling engine from
-    the parent's picklable :meth:`~repro.core.engine.ExecutionEngine.worker_spec`.
+    the parent's picklable :meth:`~repro.core.engine.ExecutionEngine.worker_spec`
+    (which carries the device model class and its spec, so custom
+    devices cross the boundary intact).
     Workers talk to the parent over duplex pipes (tasks down, results
     up); results cross the boundary in the journal's JSON record format,
     which is fingerprint-stable by construction. The pool *survives
@@ -27,21 +24,22 @@ touching campaign semantics. Three implementations ship:
     point as a crash :class:`Outcome` for the scheduler to requeue.
     Worker engines cannot share the in-process build cache, so each
     process warms its own. Per-worker
-    :class:`~repro.core.engine.EngineStats` deltas — and, when the
-    parent has live obs sinks, buffered telemetry batches
-    (:mod:`repro.obs.relay`) — ride home with *every point outcome*,
-    so even a worker that later crashes has already banked everything
-    but its in-flight point.
+    :class:`~repro.core.engine.EngineStats` deltas (build-cache hit and
+    miss counts included) — and, when the parent has live obs sinks,
+    buffered telemetry batches (:mod:`repro.obs.relay`) — ride home
+    with *every point outcome*, so even a worker that later crashes has
+    already banked everything but its in-flight point. Workers exit on
+    their own when the campaign process dies.
 
 Worker crashes are *injectable*: the ``worker_crash`` fault site
 (:mod:`repro.faults`) is consulted once per ``(point, restarts)``
 before a point runs. In the process backend a firing fault hard-kills
 the worker with ``os._exit`` — no cleanup, a real death, exactly what a
-segfaulting toolchain does. The serial and thread backends cannot kill
-their host process, so they *simulate* the same death: the fault check
-uses the identical deterministic draw and surfaces the identical crash
+segfaulting toolchain does. The serial backend cannot kill its host
+process, so it *simulates* the same death: the fault check uses the
+identical deterministic draw and surfaces the identical crash
 :class:`Outcome`, which is what lets a campaign produce byte-identical
-results on every backend even under injected crashes.
+results on both backends even under injected crashes.
 """
 
 from __future__ import annotations
@@ -49,8 +47,7 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
-import queue
-import threading
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -61,6 +58,7 @@ from ...obs import events as obs_events
 from ...obs import metrics as obs_metrics
 from ...obs import relay as obs_relay
 from ...obs import trace as obs_trace
+from ...ocl.program import CACHE_COUNTERS
 from ..history import (
     params_from_record,
     params_to_record,
@@ -80,13 +78,12 @@ __all__ = [
     "Outcome",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
 ]
 
 #: the execution backends ``make_executor`` knows how to build
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -298,104 +295,6 @@ class _SerialSession(_SessionBase):
 
 
 # --------------------------------------------------------------------------
-# threads
-# --------------------------------------------------------------------------
-
-
-class ThreadExecutor(Executor):
-    """A thread pool of engine worker clones (shared cache and stats)."""
-
-    name = "thread"
-
-    def __init__(self, jobs: int = 2):
-        if jobs < 1:
-            raise SweepError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-
-    def session(self, engine: object, *, watchdog: "Watchdog | None" = None):
-        return _ThreadSession(engine, watchdog, self.jobs)
-
-
-class _ThreadSession(_SessionBase):
-    def __init__(self, engine: object, watchdog: "Watchdog | None", jobs: int):
-        self._engine = engine
-        self._watchdog = watchdog
-        self._tasks: "queue.Queue[Task | None]" = queue.Queue()
-        self._outcomes: "queue.Queue[Outcome]" = queue.Queue()
-        self._threads = [
-            threading.Thread(
-                target=self._worker, name=f"sweep-worker-{i}", daemon=True
-            )
-            for i in range(jobs)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def _worker(self) -> None:
-        clone: object | None = None
-        while True:
-            task = self._tasks.get()
-            if task is None:
-                return
-            if clone is None:
-                clone = self._engine.worker_clone()  # type: ignore[attr-defined]
-            if _injected_crash(clone, task):
-                self._outcomes.put(Outcome.crash(task))
-                continue
-            try:
-                result = clone.run(task.params, watchdog=self._watchdog)  # type: ignore[attr-defined]
-            except Exception as exc:
-                self._outcomes.put(
-                    Outcome.bug(task, f"{type(exc).__name__}: {exc}", exc)
-                )
-                continue
-            self._outcomes.put(Outcome.done(task, result))
-
-    def submit(self, task: Task) -> None:
-        self._tasks.put(task)
-
-    def next_outcome(self) -> Outcome:
-        return self._outcomes.get()
-
-    def cancel_pending(self) -> list[Task]:
-        # tasks already claimed by a worker thread are in flight and
-        # keep running; only the queue backlog is withdrawable
-        cancelled: list[Task] = []
-        try:
-            while True:
-                task = self._tasks.get_nowait()
-                if task is not None:  # don't eat shutdown sentinels
-                    cancelled.append(task)
-        except queue.Empty:
-            pass
-        return cancelled
-
-    def worker_status(self) -> list[dict[str, object]]:
-        return [
-            {
-                "worker": thread.name,
-                "pid": os.getpid(),
-                "alive": thread.is_alive(),
-                "point": "",
-            }
-            for thread in self._threads
-        ]
-
-    def close(self) -> None:
-        # drop queued-but-unstarted work (the cancel_futures analogue),
-        # then let each worker drain one sentinel and exit
-        try:
-            while True:
-                self._tasks.get_nowait()
-        except queue.Empty:
-            pass
-        for _ in self._threads:
-            self._tasks.put(None)
-        for thread in self._threads:
-            thread.join(timeout=10.0)
-
-
-# --------------------------------------------------------------------------
 # processes
 # --------------------------------------------------------------------------
 
@@ -403,26 +302,27 @@ class _ThreadSession(_SessionBase):
 #: in ``Process.exitcode`` when debugging a crashed campaign)
 CRASH_EXIT_CODE = 3
 
+#: how long an idle worker waits for a task before it checks that the
+#: campaign process is still alive
+PARENT_POLL_S = 0.5
+
+#: the whole-number :class:`EngineStats` counters a worker ships home
+_DELTA_COUNTERS = ("points", "failures", "retries", *CACHE_COUNTERS)
+
 
 def _stats_delta(current: dict, last: dict) -> dict:
-    """The increment between two :class:`EngineStats` snapshots.
+    """The increment between two ``stats_snapshot()``\\ s of an engine.
 
     ``last`` is updated in place, so successive calls ship disjoint
     deltas — the parent folds every one and never double-counts.
     """
-    delta = {
-        "points": current["points"] - last["points"],
-        "failures": current["failures"] - last["failures"],
-        "retries": current["retries"] - last["retries"],
-        "stage_s": {
-            name: seconds - last["stage_s"].get(name, 0.0)
-            for name, seconds in current["stage_s"].items()
-        },
+    last_stage = last.get("stage_s", {})
+    delta = {name: current[name] - last.get(name, 0) for name in _DELTA_COUNTERS}
+    delta["stage_s"] = {
+        name: seconds - last_stage.get(name, 0.0)
+        for name, seconds in current["stage_s"].items()
     }
-    last["points"] = current["points"]
-    last["failures"] = current["failures"]
-    last["retries"] = current["retries"]
-    last["stage_s"] = dict(current["stage_s"])
+    last.update(current)
     return delta
 
 
@@ -431,6 +331,7 @@ def _process_worker_main(
     spec: "WorkerSpec",
     watchdog: "Watchdog | None",
     telemetry: bool,
+    parent_pid: int,
 ) -> None:
     """One worker process: rebuild a sibling engine, serve tasks.
 
@@ -440,7 +341,8 @@ def _process_worker_main(
     stats_delta, telemetry_batch)`` /
     ``("error", index, restarts, message, stats_delta, telemetry_batch)``
     per task and ``("stats", stats_delta, telemetry_batch)`` on
-    shutdown. Stats ride home as *incremental deltas with every point
+    shutdown. Stats — stage seconds, point counters and build-cache
+    hits/misses — ride home as *incremental deltas with every point
     outcome* (not only at clean shutdown), so a worker that later gets
     kill -9'd has already banked everything but its in-flight point.
 
@@ -455,7 +357,15 @@ def _process_worker_main(
     ``os._exit`` *before* the point runs — no flush, no goodbye, the
     parent only notices the pipe going dead. That is deliberate: the
     requeue path must not depend on a dying worker's cooperation.
+
+    The worker also exits once the campaign process dies. Pipe EOF
+    cannot tell it — forked workers hold inherited parent-side pipe
+    ends — so it polls for tasks and leaves when ``os.getppid()`` stops
+    naming ``parent_pid`` (not 1: a subreaper may adopt it). SIGTERM
+    gets its default action back; the inherited scheduler handler only
+    sets a drain flag nothing here reads.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # under a fork start method the child inherits the parent's live
     # obs sinks; writing to them from here would interleave with the
     # parent, so a worker first resets them — then installs its own
@@ -470,14 +380,18 @@ def _process_worker_main(
     from ..engine import ExecutionEngine
 
     engine = ExecutionEngine.from_worker_spec(spec)
-    last_stats = {"points": 0, "failures": 0, "retries": 0, "stage_s": {}}
+    last_stats: dict = {}
 
     def flush() -> tuple[dict, dict | None]:
-        delta = _stats_delta(engine.stats.snapshot(), last_stats)
+        delta = _stats_delta(engine.stats_snapshot(), last_stats)
         return delta, (sinks.drain() if sinks is not None else None)
 
     try:
         while True:
+            if not conn.poll(PARENT_POLL_S):
+                if os.getppid() != parent_pid:
+                    return  # orphaned: the campaign process died
+                continue
             message = conn.recv()
             if message is None:
                 delta, batch = flush()
@@ -526,14 +440,10 @@ class ProcessExecutor(Executor):
 
     name = "process"
 
-    def __init__(self, jobs: int = 2, *, start_method: str | None = None):
+    def __init__(self, jobs: int = 2):
         if jobs < 1:
             raise SweepError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else "spawn"
-        self.start_method = start_method
 
     def session(self, engine: object, *, watchdog: "Watchdog | None" = None):
         spec_of = getattr(engine, "worker_spec", None)
@@ -542,12 +452,13 @@ class ProcessExecutor(Executor):
                 "the process backend needs an ExecutionEngine that can "
                 f"describe itself for worker processes; got {type(engine).__name__}"
             )
+        methods = multiprocessing.get_all_start_methods()
         return _ProcessSession(
             engine,
             spec_of(),
             watchdog,
             self.jobs,
-            multiprocessing.get_context(self.start_method),
+            multiprocessing.get_context("fork" if "fork" in methods else "spawn"),
         )
 
 
@@ -596,7 +507,13 @@ class _ProcessSession(_SessionBase):
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_process_worker_main,
-            args=(child_conn, self._spec, self._watchdog, self._telemetry),
+            args=(
+                child_conn,
+                self._spec,
+                self._watchdog,
+                self._telemetry,
+                os.getpid(),
+            ),
             daemon=True,
         )
         proc.start()
@@ -763,18 +680,16 @@ class _ProcessSession(_SessionBase):
 
 
 def make_executor(backend: str, *, jobs: int = 1, batch: int = 1) -> Executor:
-    """Build an executor by backend name (``serial|thread|process``).
+    """Build an executor by backend name (``serial|process``).
 
     ``batch`` sets the serial backend's slot-batching width; the
-    parallel backends ignore it — worker concurrency is already their
-    way of amortizing per-point overhead.
+    process pool ignores it — worker concurrency is already its way of
+    amortizing per-point overhead.
     """
     if jobs < 1:
         raise SweepError(f"jobs must be >= 1, got {jobs}")
     if backend == "serial":
         return SerialExecutor(batch=batch)
-    if backend == "thread":
-        return ThreadExecutor(jobs)
     if backend == "process":
         return ProcessExecutor(jobs)
     raise SweepError(

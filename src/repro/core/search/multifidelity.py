@@ -31,7 +31,7 @@ computed from *values*, never from completion order. The searcher is a
 thin :class:`~repro.core.scheduler.CampaignScheduler` client exactly
 like ``explore()``: measured rungs are scheduler batches, so journaling
 and ``resume=`` (restored evaluations still count against the budget —
-that is what keeps a resumed trajectory identical), serial/thread/
+that is what keeps a resumed trajectory identical), serial and
 process backends, slot batching, and crash-requeue all come for free.
 """
 

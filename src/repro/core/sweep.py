@@ -12,12 +12,11 @@ Execution is delegated to the campaign scheduler
 hands it to a :class:`~repro.core.scheduler.CampaignScheduler`, which
 owns ordering, dedup, journaling, crash/requeue policy and
 instrumentation, and runs the points on a pluggable backend —
-``backend="serial"``, ``"thread"`` (``jobs=N`` worker threads driving
-:meth:`~repro.core.engine.ExecutionEngine.worker_clone` siblings that
-share one build cache), or ``"process"`` (a worker-process pool that
-survives individual worker death). Whatever the backend or completion
-order, results come back in grid order with fingerprints identical to
-the serial path; see ``docs/SCHEDULING.md`` for the backend matrix.
+``backend="serial"`` or ``"process"`` (a pool of ``jobs=N`` worker
+processes that survives individual worker death). Whatever the
+backend or completion order, results come back in grid order with
+fingerprints identical to the serial path; see ``docs/SCHEDULING.md``
+for the backend matrix.
 
 Resilience: pass ``journal=`` to stream every completed point to a
 :class:`~repro.core.history.SweepJournal` as it finishes, and
@@ -130,9 +129,9 @@ def explore(
     a point list; ordering, dedup, journaling, crash policy and
     instrumentation belong to the scheduler.
 
-    ``backend`` selects where points run (``"serial"``, ``"thread"``,
-    ``"process"``); left ``None``, ``jobs > 1`` picks the thread
-    backend and ``jobs=1`` runs serially. Results keep the grid's
+    ``backend`` selects where points run (``"serial"`` or
+    ``"process"``); left ``None``, ``jobs > 1`` picks the process
+    pool and ``jobs=1`` runs serially. Results keep the grid's
     deterministic row-major order and per-point failure tolerance
     whatever the backend, and ``progress`` fires once per grid point in
     completion order (on the scheduler's thread — callbacks need no
@@ -161,8 +160,8 @@ def explore(
 
     ``slot_batch > 1`` lets the serial backend hand same-shape
     neighbouring points to the engine in one batch so the vectorized
-    array lane can execute them in a single stacked pass; parallel
-    backends ignore it. Results are fingerprint-identical either way.
+    array lane can execute them in a single stacked pass; the process
+    pool ignores it. Results are fingerprint-identical either way.
     """
     scheduler = CampaignScheduler(
         runner,

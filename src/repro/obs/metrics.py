@@ -9,7 +9,7 @@ one sink with stable, dot-separated metric names
 ``memsim.dram.bytes``, ``queue.h2d_bytes``, the verification
 stage's ``verify.points`` / ``verify.mismatches``, the crash-consistent
 journal's ``journal.records`` / ``journal.rotations`` /
-``journal.dropped_records`` / ``journal.v1_records``, and the
+``journal.dropped_records``, and the
 scheduler's shutdown counters ``scheduler.interrupts`` /
 ``scheduler.journal_degraded``) and one snapshot
 format, exportable as JSON via ``--metrics`` and renderable with

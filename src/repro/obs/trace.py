@@ -6,7 +6,8 @@ execute stage drives queue commands. :class:`Tracer` records each of
 those as a *complete* span (``ph: "X"``) in the Chrome trace-event
 format, so ``--trace out.json`` produces a file that loads directly
 into ``chrome://tracing`` or https://ui.perfetto.dev and renders the
-nesting per thread — a parallel sweep shows one track per worker.
+nesting per (process, thread) — a process-pool sweep shows one track
+per worker process (docs/OBSERVABILITY.md).
 
 Like the metrics registry, instrumented code calls the module-level
 :func:`span` helper, which returns a shared no-op when no tracer is

@@ -35,7 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Kernel
     from .platform import Device
 
-__all__ = ["Program", "BuildCache"]
+__all__ = ["Program", "BuildCache", "CACHE_COUNTERS"]
+
+#: the hit/miss counters :meth:`BuildCache.stats` reports
+CACHE_COUNTERS = ("frontend_hits", "frontend_misses", "plan_hits", "plan_misses")
 
 
 class BuildCache:
@@ -50,19 +53,16 @@ class BuildCache:
     retrying an FPGA configuration that does not fit skips the
     re-estimation and re-raises the recorded :class:`BuildError`.
 
-    All methods are thread-safe; one instance is shared across the
-    parallel sweep executor's worker engines.
+    One instance per engine; each process-pool worker warms its own,
+    and its hit/miss counters ride home to the parent engine's
+    ``stats_snapshot()``. Methods stay thread-safe because the obs
+    server thread reads :meth:`stats` while a campaign runs.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._checked: dict[tuple, "CheckedProgram"] = {}
-        self._counters = {
-            "frontend_hits": 0,
-            "frontend_misses": 0,
-            "plan_hits": 0,
-            "plan_misses": 0,
-        }
+        self._counters = dict.fromkeys(CACHE_COUNTERS, 0)
 
     # -- stages ------------------------------------------------------------------
 

@@ -2,10 +2,12 @@
 
 These drive :mod:`tools.chaos` — the harness that runs ``mp-stream
 sweep``/``autotune`` as a **real subprocess**, interrupts it mid-sweep
-(``kill -9``, SIGTERM, or an injected torn journal append), fscks the
-survivor journal, resumes in-process and compares ordered result
-fingerprints against an uninterrupted run. One scenario per backend
-runs in tier 1; more live behind ``--runslow``.
+(``kill -9``, SIGTERM, or an injected torn journal append), checks
+that no process of the interrupted campaign outlives it (pool workers
+must exit once their parent is gone), fscks the survivor journal,
+resumes in-process and compares ordered result fingerprints against an
+uninterrupted run. One scenario per backend runs in tier 1; more live
+behind ``--runslow``.
 
 The invariant under test is docs/SCHEDULING.md's crash-consistency
 contract: a campaign killed at *any* instant resumes from its journal
@@ -61,7 +63,7 @@ class TestKillNine:
         # point, and the resumed campaign must reproduce it exactly
         out = run_chaos(
             mode="kill",
-            backend="thread",
+            backend="process",
             jobs=2,
             faults_spec="worker_crash=0.4,seed=11",
         )
@@ -86,7 +88,7 @@ class TestTornWrite:
 class TestGracefulShutdown:
     def test_sigterm_drains_and_exits_130(self, baseline):
         out = run_chaos(
-            mode="term", backend="thread", jobs=2, baseline=baseline
+            mode="term", backend="process", jobs=2, baseline=baseline
         )
         assert out.ok, out.describe()
         assert out.returncode == 130

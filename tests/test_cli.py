@@ -111,11 +111,13 @@ class TestCommands:
         out = capsys.readouterr().out
         # the campaign summary: point/job/skip counts and cache counters
         assert (
-            "3 point(s) on 2 job(s) (thread backend), "
+            "3 point(s) on 2 job(s) (process backend), "
             "0 invalid point(s) skipped" in out
         )
-        # NDRange sizes share one front-end pass; repeats are tagged
-        assert "front-end 2 hit/1 miss" in out
+        # NDRange sizes share one front-end pass per worker (each of the
+        # two warms its own cache); repeats are tagged
+        assert "front-end 1 hit/2 miss" in out
+        assert "plans 1 hit/2 miss" in out
         assert "[cached front-end]" in out
         assert "stage wall time:" in out
 
@@ -373,6 +375,12 @@ class TestSchedulerFlags:
     def test_unknown_backend_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--backend", "mpi"])
+
+    def test_thread_backend_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.SWEEP + ["--jobs", "2", "--backend", "thread"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
     def test_process_backend_smoke(self, capsys):
         code = main(self.SWEEP + ["--jobs", "2", "--backend", "process"])

@@ -5,10 +5,11 @@ over its canonical serialization; a crash mid-append leaves at most
 one torn final line, which ``load()`` truncates *exactly*; mid-file
 damage is quarantined to a sidecar and reported — never silently
 dropped; ``fsck`` detects every injected corruption with zero false
-positives on clean journals; v1 journals still load (read-compat,
-flagged deprecated); ``compact`` folds a rotated family back into one
-deduplicated all-v2 live file; and journal failure mid-campaign is
-*degradation, not death*. The end-to-end kill -9 proof lives in
+positives on clean journals; a record of any other schema (v1
+included) is unreadable and quarantined, so its point re-runs;
+``compact`` folds a rotated family back into one deduplicated all-v2
+live file; and journal failure mid-campaign is *degradation, not
+death*. The end-to-end kill -9 proof lives in
 ``tests/test_chaos.py``.
 """
 
@@ -77,7 +78,7 @@ class TestV2Format:
         lines = path.read_text().splitlines()
         assert len(lines) == len(sample)
         for line, (key, result) in zip(lines, sample):
-            record = json.loads(line)  # one flat object: v1 readers work
+            record = json.loads(line)  # one flat object: jq-friendly
             assert record["schema"] == 2
             assert record["point"] == key
             assert record["fingerprint"] == result.fingerprint()
@@ -92,23 +93,35 @@ class TestV2Format:
             k: r.fingerprint() for k, r in sample
         }
 
-    def test_v1_journals_still_load_with_deprecation_note(self, tmp_path, sample):
-        path = tmp_path / "v1.jsonl"
-        with path.open("w") as fh:
-            for key, result in sample:
-                record = history._result_to_record(result, detail=True)
-                record["schema"] = 1
-                record["point"] = key
-                record["fingerprint"] = result.fingerprint()
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        journal = SweepJournal(path)
-        restored = journal.load()
-        assert len(restored) == len(sample)
-        assert journal.v1_loaded == len(sample)
-        assert journal.discarded == 0
+    def test_schema1_record_quarantined_and_point_reruns(self, tmp_path, sample):
+        # a pre-WAL (schema 1) record is unreadable, not read-compatible:
+        # it goes to the sidecar like corruption and its point re-runs
+        path = tmp_path / "j.jsonl"
+        _write_journal(path, sample[1:])
+        key, result = sample[0]
+        record = history._result_to_record(result, detail=True)
+        record.update(schema=1, point=key, fingerprint=result.fingerprint())
+        v1_line = json.dumps(record, sort_keys=True)
+        with path.open("a") as fh:
+            fh.write(v1_line + "\n")
         report = fsck_journal(path)
-        assert report.clean and report.v1_records == len(sample)
-        assert any("deprecated" in note for note in report.notes)
+        assert report.corrupt == 1 and report.valid == len(sample) - 1
+        assert any("unsupported schema 1" in note for note in report.notes)
+        journal = SweepJournal(path)
+        resumed = explore(_engine(), _sweep(), journal=journal, resume=True)
+        assert journal.discarded == 1
+        assert journal.reused == len(sample) - 1
+        assert journal.executed == 1  # only the schema-1 point re-ran
+        assert [r.fingerprint() for r in resumed] == [
+            r.fingerprint() for _, r in sample
+        ]
+        side = [
+            json.loads(line)
+            for line in (tmp_path / "j.jsonl.quarantine").read_text().splitlines()
+        ]
+        assert [q["line"] for q in side] == [v1_line]
+        assert side[0]["reason"] == "unsupported schema 1"
+        assert fsck_journal(path).clean
 
 
 class TestTornTail:
@@ -286,11 +299,15 @@ class TestRotationAndCompaction:
         with path.open("a") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
         kept = compact_journal(path)
-        assert kept == len(sample) + 1  # unique keys, v1 upgraded
+        assert kept == len(sample)  # unique keys; the v1 line is not one
         assert sorted(tmp_path.glob("j.jsonl.seg-*")) == []
         report = fsck_journal(path)
-        assert report.clean and report.v1_records == 0
+        assert report.clean
         assert report.valid == kept
+        # the schema-1 line was quarantined, not upgraded or dropped
+        side = (tmp_path / "j.jsonl.quarantine").read_text().splitlines()
+        assert len(side) == 1
+        assert json.loads(side[0])["reason"] == "unsupported schema 1"
 
     def test_cli_compact(self, tmp_path, sample, capsys):
         path = tmp_path / "j.jsonl"

@@ -499,12 +499,12 @@ class TestProcessBackendTelemetry:
 
 
 # --------------------------------------------------------------------------
-# exported Chrome trace structure (all three backends)
+# exported Chrome trace structure (both backends)
 # --------------------------------------------------------------------------
 
 
 class TestChromeTraceStructure:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_exported_trace_is_structurally_valid(self, backend, tmp_path):
         runner = BenchmarkRunner("cpu", ntimes=1)
         path = tmp_path / f"{backend}.json"

@@ -2,16 +2,17 @@
 
 The acceptance criterion for the whole layer is *differential*: a
 campaign's :class:`ResultSet` must be fingerprint-identical whichever
-backend ran it — serial, thread pool, or a process pool whose workers
-are being killed mid-point by injected ``worker_crash`` faults — and
-across a mid-sweep kill/resume. Everything else here (restart budgets,
-dedup, durable journals, progress-error containment, stats merge) is
-the supporting machinery that makes that invariant hold.
+backend ran it — serial, or a process pool whose workers are being
+killed mid-point by injected ``worker_crash`` faults — and across a
+mid-sweep kill/resume. Everything else here (restart budgets, dedup,
+durable journals, progress-error containment, stats merge, device
+transport) is the supporting machinery that makes that invariant hold.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -27,7 +28,8 @@ from repro.core import (
     explore,
     make_executor,
 )
-from repro.core.scheduler import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.core.scheduler import ProcessExecutor
+from repro.devices.custom import device_from_dict
 from repro.errors import SweepError, WorkerCrashError, failure_kind
 from repro.faults import FaultPlan
 from repro.units import KIB
@@ -84,11 +86,12 @@ def _find_requeue_seed() -> str:
 
 class TestDifferentialBackends:
     def test_serial_thread_process_identical(self):
+        # serial against process pools of two widths
         serial = explore(_engine(), _sweep(), backend="serial")
-        thread = explore(_engine(), _sweep(), jobs=3, backend="thread")
+        wide = explore(_engine(), _sweep(), jobs=3, backend="process")
         process = explore(_engine(), _sweep(), jobs=2, backend="process")
-        assert len(serial) == len(thread) == len(process) == 6
-        assert _fps(serial) == _fps(thread) == _fps(process)
+        assert len(serial) == len(wide) == len(process) == 6
+        assert _fps(serial) == _fps(wide) == _fps(process)
         assert [r.params for r in serial] == [r.params for r in process]
 
     def test_identical_under_injected_crashes(self):
@@ -97,11 +100,9 @@ class TestDifferentialBackends:
             backend: explore(
                 _engine(spec), _sweep(), jobs=2, backend=backend
             )
-            for backend in ("serial", "thread", "process")
+            for backend in ("serial", "process")
         }
-        baseline = _fps(runs["serial"])
-        assert _fps(runs["thread"]) == baseline
-        assert _fps(runs["process"]) == baseline
+        assert _fps(runs["process"]) == _fps(runs["serial"])
 
     def test_crash_survivors_match_faultless_run(self):
         """A point that crashes then succeeds measures exactly what it
@@ -140,7 +141,7 @@ class TestDifferentialBackends:
 class TestResume:
     def test_mid_sweep_resume_per_backend(self, tmp_path):
         fresh = explore(_engine(), _sweep())
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             journal = SweepJournal(tmp_path / f"{backend}.jsonl")
             partial = ParameterSweep(
                 base=TuningParameters(array_bytes=32 * KIB),
@@ -198,7 +199,7 @@ class TestSchedulerPolicy:
             with pytest.raises(SweepError, match="jobs must be >= 1"):
                 CampaignScheduler(_engine(), jobs=jobs)
         with pytest.raises(SweepError, match="jobs must be >= 1"):
-            make_executor("thread", jobs=0)
+            make_executor("process", jobs=0)
 
     def test_restart_budget_validation(self):
         with pytest.raises(SweepError, match="max_worker_restarts"):
@@ -209,15 +210,18 @@ class TestSchedulerPolicy:
             CampaignScheduler(_engine(), backend="mpi")
         with pytest.raises(SweepError, match="unknown execution backend"):
             make_executor("mpi")
-        with pytest.raises(SweepError, match="not both"):
-            CampaignScheduler(
-                _engine(), backend="serial", executor=SerialExecutor()
-            )
+
+    def test_thread_backend_refused(self):
+        # the thread pool is gone: asking for it names what is left
+        with pytest.raises(SweepError, match="valid: serial, process"):
+            explore(_engine(), _sweep(), jobs=2, backend="thread")
+        with pytest.raises(SweepError, match="valid: serial, process"):
+            make_executor("thread", jobs=2)
 
     def test_auto_backend_selection(self):
         sched = CampaignScheduler(_engine(), jobs=4)
         sched.run(list(_sweep().points()))
-        assert sched.backend_used == "thread"
+        assert sched.backend_used == "process"
         sched = CampaignScheduler(_engine())
         sched.run(list(_sweep().points()))
         assert sched.backend_used == "serial"
@@ -259,9 +263,6 @@ class TestSchedulerPolicy:
     def test_engine_bug_still_aborts_campaign(self):
         class BombEngine:
             target = "gpu"
-
-            def worker_clone(self):
-                return self
 
             def run(self, params, *, watchdog=None):
                 raise RuntimeError("engine bug")
@@ -310,6 +311,47 @@ class TestProcessExecutor:
             assert process_stats[counter] == serial_stats[counter], counter
         assert process_stats["points"] == 6
 
+    @pytest.mark.parametrize("short_name", ["gpu", "myboard"])
+    def test_custom_device_crosses_process_boundary(self, short_name):
+        """Workers rebuild the parent's device from its model class and
+        spec: a custom board measures the same on both backends, whether
+        its tag is unknown to the registry or shadows a stock device."""
+
+        def engine() -> ExecutionEngine:
+            board = device_from_dict({
+                "kind": "gpu",
+                "short_name": short_name,
+                "name": "Custom test board",
+                "vendor": "Acme",
+                "peak_bandwidth_gbs": 20.0,
+            })
+            return ExecutionEngine(board, ntimes=1)
+
+        serial = explore(engine(), _sweep())
+        process = explore(engine(), _sweep(), jobs=2, backend="process")
+        assert all(r.ok for r in process)
+        assert _fps(process) == _fps(serial)
+        # and the board really is not the stock GPU model
+        stock = explore(_engine(), _sweep())
+        assert [r.bandwidth_gbs for r in serial] != [r.bandwidth_gbs for r in stock]
+
+    def test_worker_spec_pickles_for_every_device(self):
+        from repro.ocl.platform import get_platforms
+
+        devices = [
+            d for p in get_platforms(include_future=True) for d in p.devices
+        ]
+        devices.append(device_from_dict({
+            "kind": "fpga", "short_name": "myboard", "name": "My board",
+            "vendor": "Altera", "peak_bandwidth_gbs": 34.1,
+        }))
+        assert len(devices) == 7
+        for device in devices:
+            spec = pickle.loads(pickle.dumps(ExecutionEngine(device).worker_spec()))
+            rebuilt = ExecutionEngine.from_worker_spec(spec).device
+            assert type(rebuilt.model) is type(device.model)
+            assert rebuilt.model.spec == device.model.spec
+
     def test_worker_status_reports_liveness(self):
         engine = _engine()
         executor = ProcessExecutor(jobs=2)
@@ -334,7 +376,7 @@ class TestProcessExecutor:
 
     def test_executor_names_and_factory(self):
         assert make_executor("serial").name == "serial"
-        assert isinstance(make_executor("thread", jobs=3), ThreadExecutor)
+        assert isinstance(make_executor("process", jobs=3), ProcessExecutor)
         assert make_executor("process", jobs=2).jobs == 2
 
 
@@ -353,7 +395,7 @@ class TestAutotuneThroughScheduler:
             BenchmarkRunner("aocl", ntimes=1), self.AXES,
             seed=self._seed(), budget=20,
         )
-        threaded = autotune(
+        auto = autotune(  # jobs > 1 picks the process pool
             BenchmarkRunner("aocl", ntimes=1), self.AXES,
             seed=self._seed(), budget=20, jobs=3,
         )
@@ -361,10 +403,10 @@ class TestAutotuneThroughScheduler:
             BenchmarkRunner("aocl", ntimes=1), self.AXES,
             seed=self._seed(), budget=20, jobs=2, backend="process",
         )
-        assert serial.trajectory == threaded.trajectory == process.trajectory
-        assert serial.best.fingerprint() == threaded.best.fingerprint()
+        assert serial.trajectory == auto.trajectory == process.trajectory
+        assert serial.best.fingerprint() == auto.best.fingerprint()
         assert serial.best.fingerprint() == process.best.fingerprint()
-        assert serial.evaluations_used == threaded.evaluations_used
+        assert serial.evaluations_used == auto.evaluations_used
         assert serial.evaluations_used == process.evaluations_used
 
     def test_journal_resume_replays_trajectory(self, tmp_path):
@@ -408,21 +450,13 @@ class TestSearchThroughScheduler:
 
     def test_trajectory_identical_across_backends(self):
         serial = self._search(BenchmarkRunner("aocl", ntimes=1))
-        threaded = self._search(
-            BenchmarkRunner("aocl", ntimes=1), jobs=3, backend="thread"
-        )
         process = self._search(
             BenchmarkRunner("aocl", ntimes=1), jobs=2, backend="process"
         )
-        assert (
-            serial.trajectory_fingerprint()
-            == threaded.trajectory_fingerprint()
-            == process.trajectory_fingerprint()
-        )
+        assert serial.trajectory_fingerprint() == process.trajectory_fingerprint()
         assert serial.rung_fingerprints() == process.rung_fingerprints()
-        assert serial.best.fingerprint() == threaded.best.fingerprint()
         assert serial.best.fingerprint() == process.best.fingerprint()
-        assert serial.spent == threaded.spent == process.spent
+        assert serial.spent == process.spent
 
     def test_trajectory_identical_under_injected_faults(self):
         """Crash-killed workers and transient compile faults requeue/

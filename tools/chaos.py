@@ -24,10 +24,14 @@ end-to-end proof against a **real operating-system process**:
      record and hard-exits (exit code 5), the worst-case crash a
      power loss can produce;
 
-3. ``fsck`` the survivor journal (both in-process and through the
+3. check that no process of the interrupted campaign outlives it —
+   pool workers must notice their parent's death and exit within
+   5 s (a forked worker keeps the parent's command line, so the
+   journal path finds them in ``/proc/*/cmdline``);
+4. ``fsck`` the survivor journal (both in-process and through the
    ``mp-stream journal fsck`` CLI) — a crash may leave a torn tail,
    but never a corrupt or stale record;
-4. resume the campaign in-process from the survivor journal and
+5. resume the campaign in-process from the survivor journal and
    compare its ordered fingerprints against the baseline.
 
 Used by ``tests/test_chaos.py`` (as a library) and the CI chaos smoke
@@ -35,7 +39,7 @@ job (as a CLI). Run from the repository root::
 
     python tools/chaos.py --backend process --mode kill
     python tools/chaos.py --backend serial --mode torn
-    python tools/chaos.py --backend thread --mode term \
+    python tools/chaos.py --backend process --mode term \
         --faults worker_crash=0.4,seed=11
 """
 
@@ -56,6 +60,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from repro.core import (  # noqa: E402
+    BACKENDS,
     ParameterSweep,
     TORN_WRITE_EXIT_CODE,
     SweepJournal,
@@ -105,6 +110,9 @@ EXIT_INTERRUPTED = 130
 _JOURNAL_SITES = ("journal_write", "journal_fsync", "disk_full")
 
 _POLL_S = 0.015
+
+#: how long a process of an interrupted campaign may outlive it
+ORPHAN_GRACE_S = 5.0
 
 
 def strip_journal_faults(faults: FaultPlan | None) -> FaultPlan | None:
@@ -243,6 +251,41 @@ def find_torn_seed(
     raise RuntimeError(
         f"no journal_write seed under {limit} tears exactly at record {tear_at}"
     )
+
+
+def _surviving_processes(marker: str | Path) -> list[int]:
+    """Pids of live processes whose command line contains ``marker``.
+
+    Zombies have an empty command line, so only running processes
+    match. Returns ``[]`` on platforms without ``/proc``.
+    """
+    needle = str(marker).encode()
+    pids = []
+    for entry in Path("/proc").glob("[0-9]*"):
+        try:
+            if needle in (entry / "cmdline").read_bytes():
+                pids.append(int(entry.name))
+        except OSError:  # exited while we looked
+            continue
+    return pids
+
+
+def _note_orphans(journal: Path, notes: list[str]) -> None:
+    """Add a failure note if the campaign's processes outlive it.
+
+    Polls for up to :data:`ORPHAN_GRACE_S`: a pool worker that was
+    mid-point finishes it before it can notice its parent is gone.
+    """
+    deadline = time.monotonic() + ORPHAN_GRACE_S
+    survivors = _surviving_processes(journal)
+    while survivors and time.monotonic() < deadline:
+        time.sleep(0.1)
+        survivors = _surviving_processes(journal)
+    if survivors:
+        notes.append(
+            f"{len(survivors)} process(es) outlived the interrupted campaign "
+            f"by {ORPHAN_GRACE_S:g} s: pids {survivors}"
+        )
 
 
 @dataclass
@@ -412,6 +455,7 @@ def run_chaos(
             notes.append(
                 f"child exited {returncode}, expected {expected} for {mode}"
             )
+        _note_orphans(journal, notes)
 
         report = None
         if journal.exists():
@@ -587,6 +631,7 @@ def run_autotune_chaos(
             )
         elif returncode != -signal.SIGKILL:
             notes.append(f"tuner exited {returncode}, expected -SIGKILL")
+        _note_orphans(journal, notes)
 
         report = None
         resumed: list[str] = []
@@ -724,6 +769,7 @@ def run_search_chaos(
             )
         elif returncode != -signal.SIGKILL:
             notes.append(f"search exited {returncode}, expected -SIGKILL")
+        _note_orphans(journal, notes)
 
         report = None
         resumed: list[str] = []
@@ -772,8 +818,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--mode",
                         choices=("kill", "term", "torn", "autotune", "search"),
                         default="kill")
-    parser.add_argument("--backend", default="serial",
-                        choices=("serial", "thread", "process"))
+    parser.add_argument("--backend", default="serial", choices=BACKENDS)
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--target", default=DEFAULT_TARGET)
     parser.add_argument("--size", default=DEFAULT_SIZE)
