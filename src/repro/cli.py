@@ -128,15 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs > 1, else serial); the process pool survives worker crashes",
     )
     sweep.add_argument(
-        "--slot-batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help="serial backend: hand N grid points at a time to the engine "
-        "so semantically identical variants share one whole-NDRange "
-        "array pass (results stay bit-identical to --slot-batch 1)",
-    )
-    sweep.add_argument(
         "--max-worker-restarts",
         type=int,
         default=2,
@@ -735,7 +726,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             progress=reporter,
             max_worker_restarts=args.max_worker_restarts,
             handle_signals=True,
-            slot_batch=args.slot_batch,
         )
         points = list(sweep.points())
         results = scheduler.run(points, skipped=len(sweep.skipped))

@@ -16,8 +16,11 @@ with cached artifacts between them:
    :class:`~repro.devices.base.ExecutionPlan` via the device model's
    plan-cache hook, keyed by ``(source, defines, device)``; build
    *failures* (FPGA resource overflow) are cached and replayed too;
-4. **execute** — launch on a long-lived context/queue pair, warm-up +
-   ``ntimes`` timed repetitions, STREAM validation;
+4. **execute** — on a long-lived context/queue pair, one functional
+   pass of the kernel, then ``warmup + ntimes`` launches timed on the
+   device model (the first of them is that pass; the rest run inside
+   :meth:`~repro.ocl.CommandQueue.external_execution`), STREAM
+   validation;
 5. **verify** (optional, ``verify=True``) — differential verification of
    the point's output through :mod:`repro.verify`: the observed arrays
    are checked against an independent re-derivation (oclc interpreter
@@ -346,10 +349,6 @@ class ExecutionEngine:
         self.backoff_cap_s = backoff_cap_s
         self._ctx: Context | None = None
         self._queue: CommandQueue | None = None
-        #: one-shot functional results from a slot-batched array pass,
-        #: keyed by point fingerprint; consumed (popped) by the next
-        #: :meth:`run` of that point, so retries re-execute unprimed
-        self._primed: dict[str, dict[str, np.ndarray]] = {}
 
     @property
     def target(self) -> str:
@@ -511,113 +510,6 @@ class ExecutionEngine:
     def run_all_kernels(self, params: TuningParameters) -> list[RunResult]:
         """Run COPY/SCALE/ADD/TRIAD at the same parameter point."""
         return [self.run(params.with_(kernel=k)) for k in KERNELS]
-
-    def run_batch(
-        self,
-        points: list[TuningParameters],
-        *,
-        watchdog: Watchdog | None = None,
-    ) -> list[RunResult]:
-        """Run a scheduler slot of points, sharing array passes.
-
-        Points whose generated kernels are *semantically identical* —
-        same body source, parameter types, launch geometry and data
-        shape; typically FPGA attribute variants like
-        ``num_simd_work_items``/``num_compute_units`` that only steer
-        the performance model — are grouped and their functional
-        results computed in one stacked
-        :meth:`~repro.oclc.vectorize.VectorKernel.run_batch` pass. Each
-        point then goes through the ordinary :meth:`run` path (same
-        retries, observability, validation, timing and fingerprints;
-        the primed result only spares the redundant re-execution).
-        Results come back in input order. Any ineligibility — fault
-        injection active, host-locus points, reductions, a kernel the
-        array lane refuses — silently degrades to per-point execution.
-        """
-        if len(points) > 1 and self.faults is None:
-            groups: dict[tuple, list[TuningParameters]] = {}
-            for params in points:
-                sig = self._batch_signature(params)
-                if sig is not None:
-                    groups.setdefault(sig, []).append(params)
-            for group in groups.values():
-                if len(group) > 1:
-                    self._prime_group(group)
-        try:
-            return [self.run(p, watchdog=watchdog) for p in points]
-        finally:
-            self._primed.clear()
-
-    def _batch_signature(self, params: TuningParameters) -> tuple | None:
-        """Semantic identity of one point's launch, or None if unbatchable.
-
-        Two points batch iff their kernels mean the same thing: the
-        attribute-stripped body dump, parameter types, launch geometry,
-        element type and buffer shape all match. ``reqd_work_group_size``
-        variants change ``local_size`` and split naturally.
-        """
-        from ..errors import ReproError
-        from ..oclc import to_source
-
-        if params.locus is StreamLocus.HOST:
-            return None
-        try:
-            gen = self._stage_generate(params, _StageClock())
-            checked, _ = self._stage_compile(gen, _StageClock())
-            func = checked.kernel(gen.kernel_name)
-        except ReproError:
-            return None  # the per-point path will report the failure
-        param_sig = tuple(
-            (name, str(ty))
-            for name, ty in checked.param_types[func.name].items()
-        )
-        return (
-            gen.kernel_name,
-            to_source(func.body),
-            param_sig,
-            gen.global_size,
-            gen.local_size,
-            params.kernel,
-            params.dtype,
-            params.word_count,
-        )
-
-    def _prime_group(self, group: list[TuningParameters]) -> None:
-        """One stacked array pass for a group of identical-semantics points."""
-        from ..oclc.interp import BufferArg
-        from ..oclc.vectorize import vectorize_kernel
-
-        gen = self._stage_generate(group[0], _StageClock())
-        checked, _ = self._stage_compile(gen, _StageClock())
-        try:
-            vk = vectorize_kernel(checked, gen.kernel_name)
-        except ReproError:
-            return
-        spec = KERNELS[group[0].kernel]
-        calls = []
-        outputs = []
-        for params in group:
-            initial = initial_arrays(params.word_count, params.dtype)
-            arrays = {n: initial[n].copy() for n in ("a", "b", "c")}
-            call: dict[str, object] = {
-                name: BufferArg(arrays[name])
-                for name in (*spec.reads, spec.writes)
-            }
-            if spec.uses_scalar:
-                call["q"] = SCALAR_Q
-            calls.append(call)
-            outputs.append(arrays[spec.writes])
-        try:
-            with obs_trace.span(
-                "fastpath.batch", "engine", kernel=gen.kernel_name, size=len(group)
-            ):
-                vk.run_batch(gen.global_size, calls, gen.local_size)
-        except ReproError:
-            return  # fall back to per-point execution
-        for params, out in zip(group, outputs):
-            key = point_fingerprint(self.target, params)
-            self._primed[key] = {spec.writes: out}
-        obs_metrics.count("engine.batched_points", len(group))
 
     def stats_snapshot(self) -> dict[str, object]:
         """Campaign counters: stage seconds, points, cache hits/misses.
@@ -787,14 +679,6 @@ class ExecutionEngine:
 
             initial = initial_arrays(params.word_count, params.dtype)
             buffers = self._make_buffers(ctx, initial)
-            # Consume a slot-batched functional result, if one is
-            # primed for this point: copy the stacked array pass's
-            # outputs into the buffers, and tell the queue the timed
-            # launches need no functional re-execution (the kernels the
-            # batch gate admits are idempotent, so one pass equals
-            # warmup+ntimes passes bit-for-bit). pop() makes the prime
-            # one-shot — a retry re-runs the point unprimed.
-            prime = self._primed.pop(key, None) if self._primed else None
             try:
                 self._bind(kernel, params, buffers)
                 if self.faults is not None:
@@ -804,29 +688,25 @@ class ExecutionEngine:
                         budget.check_wall if budget is not None else None,
                     )
 
-                if prime is not None:
-                    for name, data in prime.items():
-                        buffers[name].view(data.dtype)[:] = data
-                launch_mode = (
-                    queue.external_execution()
-                    if prime is not None
-                    else nullcontext()
-                )
-                with launch_mode:
-                    for _ in range(self.warmup):
-                        queue.enqueue_nd_range_kernel(
-                            kernel, gen.global_size, gen.local_size
-                        )
-                    times = []
-                    last_detail: dict[str, object] = {}
-                    for _ in range(self.ntimes):
+                # Every KERNELS entry writes a buffer it does not read,
+                # so one functional pass leaves the buffers bit-identical
+                # to warmup + ntimes passes: the first launch executes,
+                # the rest are timed on the model alone. Every launch
+                # still goes through the queue, so the fault hook,
+                # events, counters and the watchdog see each one.
+                times = []
+                last_detail: dict[str, object] = {}
+                for launch in range(self.warmup + self.ntimes):
+                    with queue.external_execution() if launch else nullcontext():
                         event = queue.enqueue_nd_range_kernel(
                             kernel, gen.global_size, gen.local_size
                         )
-                        times.append(event.latency)
-                        last_detail = dict(event.detail)
-                        if budget is not None:
-                            budget.charge_virtual(event.latency)
+                    if launch < self.warmup:
+                        continue
+                    times.append(event.latency)
+                    last_detail = dict(event.detail)
+                    if budget is not None:
+                        budget.charge_virtual(event.latency)
 
                 validated = False
                 observed: dict[str, np.ndarray] | None = None

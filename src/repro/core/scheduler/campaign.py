@@ -95,12 +95,9 @@ class CampaignScheduler:
         progress: Callable[[RunResult], None] | None = None,
         max_worker_restarts: int = 2,
         handle_signals: bool = False,
-        slot_batch: int = 1,
     ):
         if jobs < 1:
             raise SweepError(f"jobs must be >= 1, got {jobs}")
-        if slot_batch < 1:
-            raise SweepError(f"slot_batch must be >= 1, got {slot_batch}")
         if max_worker_restarts < 0:
             raise SweepError(
                 f"max_worker_restarts must be >= 0, got {max_worker_restarts}"
@@ -115,8 +112,6 @@ class CampaignScheduler:
         self.engine = runner.engine if isinstance(runner, BenchmarkRunner) else runner
         self.backend = backend
         self.jobs = jobs
-        #: serial-backend slot width for engine-level array batching
-        self.slot_batch = slot_batch
         self.watchdog = watchdog
         if journal is not None and not isinstance(journal, SweepJournal):
             journal = SweepJournal(journal)
@@ -481,7 +476,7 @@ class CampaignScheduler:
         if backend is None:
             # a pool only pays when two workers have work to share
             backend = "serial" if self.jobs == 1 or todo <= 1 else "process"
-        return make_executor(backend, jobs=self.jobs, batch=self.slot_batch)
+        return make_executor(backend, jobs=self.jobs)
 
     def _finish(
         self,

@@ -202,69 +202,27 @@ class _SessionBase:
 
 
 class SerialExecutor(Executor):
-    """Run points inline, one at a time, on the campaign's own engine.
-
-    ``batch > 1`` enables slot-level batching: up to ``batch`` queued
-    points are handed to :meth:`~repro.core.engine.ExecutionEngine.run_batch`
-    together, so semantically identical grid neighbours (FPGA attribute
-    variants) share one whole-NDRange array pass. Outcomes are still
-    reported one task at a time, in slot order, with per-point results
-    bit-identical to unbatched execution.
-    """
+    """Run points inline, one at a time, on the campaign's own engine."""
 
     name = "serial"
     jobs = 1
 
-    def __init__(self, batch: int = 1):
-        if batch < 1:
-            raise SweepError(f"batch must be >= 1, got {batch}")
-        self.batch = batch
-
     def session(self, engine: object, *, watchdog: "Watchdog | None" = None):
-        return _SerialSession(engine, watchdog, self.batch)
+        return _SerialSession(engine, watchdog)
 
 
 class _SerialSession(_SessionBase):
-    def __init__(
-        self, engine: object, watchdog: "Watchdog | None", batch: int = 1
-    ):
+    def __init__(self, engine: object, watchdog: "Watchdog | None"):
         self._engine = engine
         self._watchdog = watchdog
-        self._batch = batch
         self._tasks: deque[Task] = deque()
-        #: outcomes computed by a batched slot, not yet handed out
-        self._ready: deque[Outcome] = deque()
 
     def submit(self, task: Task) -> None:
         self._tasks.append(task)
 
     def next_outcome(self) -> Outcome:
-        if self._ready:
-            return self._ready.popleft()
         if not self._tasks:
             raise SweepError("executor has no outstanding tasks")
-        run_batch = getattr(self._engine, "run_batch", None)
-        if self._batch > 1 and run_batch is not None:
-            slot: list[Task] = []
-            while self._tasks and len(slot) < self._batch:
-                task = self._tasks.popleft()
-                if _injected_crash(self._engine, task):
-                    self._ready.append(Outcome.crash(task))
-                else:
-                    slot.append(task)
-            if slot:
-                try:
-                    results = run_batch(
-                        [t.params for t in slot], watchdog=self._watchdog
-                    )
-                    for task, result in zip(slot, results):
-                        self._ready.append(Outcome.done(task, result))
-                except Exception as exc:
-                    for task in slot:
-                        self._ready.append(
-                            Outcome.bug(task, f"{type(exc).__name__}: {exc}", exc)
-                        )
-            return self._ready.popleft()
         task = self._tasks.popleft()
         if _injected_crash(self._engine, task):
             return Outcome.crash(task)
@@ -291,7 +249,6 @@ class _SerialSession(_SessionBase):
 
     def close(self) -> None:
         self._tasks.clear()
-        self._ready.clear()
 
 
 # --------------------------------------------------------------------------
@@ -679,17 +636,12 @@ class _ProcessSession(_SessionBase):
                 worker.proc.join(timeout=5.0)
 
 
-def make_executor(backend: str, *, jobs: int = 1, batch: int = 1) -> Executor:
-    """Build an executor by backend name (``serial|process``).
-
-    ``batch`` sets the serial backend's slot-batching width; the
-    process pool ignores it — worker concurrency is already its way of
-    amortizing per-point overhead.
-    """
+def make_executor(backend: str, *, jobs: int = 1) -> Executor:
+    """Build an executor by backend name (``serial|process``)."""
     if jobs < 1:
         raise SweepError(f"jobs must be >= 1, got {jobs}")
     if backend == "serial":
-        return SerialExecutor(batch=batch)
+        return SerialExecutor()
     if backend == "process":
         return ProcessExecutor(jobs)
     raise SweepError(

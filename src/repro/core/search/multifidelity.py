@@ -193,7 +193,6 @@ def multifidelity_search(
     resume: bool = False,
     resume_or_start: bool = False,
     max_worker_restarts: int = 2,
-    slot_batch: int = 1,
 ) -> SearchResult:
     """Model-guided successive halving over ``axes``.
 
@@ -208,9 +207,8 @@ def multifidelity_search(
     Scheduling semantics are ``explore()``'s: ``jobs``/``backend``
     parallelize each rung, ``journal``/``resume`` checkpoint every
     measured evaluation (restored evaluations count against ``budget``,
-    so a resumed search replays an identical trajectory), and
-    ``slot_batch`` stacks same-shape points. The trajectory is backend-
-    and parallelism-independent by construction.
+    so a resumed search replays an identical trajectory). The
+    trajectory is backend- and parallelism-independent by construction.
     """
     if budget < 1:
         raise SweepError(f"budget must be >= 1, got {budget}")
@@ -239,7 +237,6 @@ def multifidelity_search(
         resume=resume,
         resume_or_start=resume_or_start,
         max_worker_restarts=max_worker_restarts,
-        slot_batch=slot_batch,
     )
 
     keys = [p.describe() for p in pool]

@@ -120,7 +120,6 @@ def explore(
     resume_or_start: bool = False,
     max_worker_restarts: int = 2,
     handle_signals: bool = False,
-    slot_batch: int = 1,
 ) -> ResultSet:
     """Run every point of a sweep on a target.
 
@@ -157,11 +156,6 @@ def explore(
     raised) cancels the not-yet-started points and re-raises as
     :class:`~repro.errors.SweepError` naming the grid point, instead of
     leaving orphaned workers running.
-
-    ``slot_batch > 1`` lets the serial backend hand same-shape
-    neighbouring points to the engine in one batch so the vectorized
-    array lane can execute them in a single stacked pass; the process
-    pool ignores it. Results are fingerprint-identical either way.
     """
     scheduler = CampaignScheduler(
         runner,
@@ -174,7 +168,6 @@ def explore(
         progress=progress,
         max_worker_restarts=max_worker_restarts,
         handle_signals=handle_signals,
-        slot_batch=slot_batch,
     )
     points = list(sweep.points())
     return scheduler.run(points, skipped=len(sweep.skipped))

@@ -11,6 +11,10 @@ Functional execution has two drivers and no knob: the whole-NDRange
 array lane (:class:`~repro.oclc.vectorize.VectorKernel`), and the
 work-item interpreter (:class:`~repro.oclc.interp.KernelInterpreter`)
 for any kernel the array lane refuses, at build or at launch time.
+The queue keeps the most recently used runners, up to
+``_RUNNER_CACHE_SIZE``. Inside :meth:`CommandQueue.external_execution`
+a launch is timed but not executed; the engine times all but the first
+launch of a point that way.
 
 Two scheduling modes, as in OpenCL:
 
@@ -48,6 +52,11 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["CommandQueue"]
 
 _ENGINES = ("compute", "h2d", "d2h")
+
+#: kernel runners kept per queue, least recently used evicted first; a
+#: sweep point runs its kernel once, so a runner is reused only when
+#: the same program launches again on this queue
+_RUNNER_CACHE_SIZE = 8
 
 
 class CommandQueue:
@@ -348,22 +357,25 @@ class CommandQueue:
         call_args: dict[str, object],
     ) -> None:
         if self._skip_execute:
-            # results were computed externally (engine slot batching)
-            obs_metrics.count("fastpath.runs.primed")
             return
         from ..oclc.interp import KernelInterpreter
         from ..oclc.vectorize import VectorKernel, vectorize_kernel
 
         checked = kernel.program.checked
         assert checked is not None
+        # a runner holds its CheckedProgram, so the id of a cached
+        # program cannot be recycled while its entry lives
+        cache = self._specialized_cache
         cache_key = (id(checked), kernel.name)
-        runner = self._specialized_cache.get(cache_key)
+        runner = cache.pop(cache_key, None)
         if runner is None:
             try:
                 runner = vectorize_kernel(checked, kernel.name)
             except UnsupportedKernelError:
                 runner = KernelInterpreter(checked, kernel.name)
-            self._specialized_cache[cache_key] = runner
+        cache[cache_key] = runner
+        if len(cache) > _RUNNER_CACHE_SIZE:
+            del cache[next(iter(cache))]
         if isinstance(runner, VectorKernel):
             try:
                 runner.run(global_size, call_args, local_size)
@@ -372,7 +384,7 @@ class CommandQueue:
                 # aliasing an input) are outside the array lane: the
                 # interpreter runs it, and this kernel from now on
                 runner = KernelInterpreter(checked, kernel.name)
-                self._specialized_cache[cache_key] = runner
+                cache[cache_key] = runner
             else:
                 obs_metrics.count("fastpath.runs.vectorized")
                 return
@@ -383,12 +395,14 @@ class CommandQueue:
     def external_execution(self) -> Iterator[None]:
         """Launches inside this context skip functional execution.
 
-        The engine's slot-batching path computes a point's functional
-        results once with :meth:`~repro.oclc.vectorize.VectorKernel.run_batch`
-        and copies them into the buffers; the timed warmup/measurement
-        launches then only need the performance model, the virtual
-        clock and the event stream — re-running the kernel would just
-        recompute identical idempotent results.
+        Each launch is still a full command: fault hook, launch
+        validation, model timing, event and counters. Only the kernel
+        body does not run, so the buffers must already hold its
+        results. The engine uses this for every launch of a point after
+        the first: a STREAM kernel writes a buffer it does not read, so
+        re-running it would recompute identical results. Outside this
+        context every launch executes, which direct queue users whose
+        arrays change between launches rely on.
         """
         prev = self._skip_execute
         self._skip_execute = True

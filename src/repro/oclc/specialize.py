@@ -358,20 +358,14 @@ _ARITH_IMPL = {
 def align_streams(left: object, right: object) -> tuple[object, object]:
     """Broadcast a (..., N) scalar stream against a (..., N, w) vector stream.
 
-    The canonical case is (N,) vs (N, w); the array lane's batched
-    execution adds a leading batch axis, so the rule generalizes to "one
-    side is exactly the other minus its lane axis" — including a
-    batch-uniform (N,) stream against a batch-carrying (B, N, w) one.
+    The canonical case is (N,) vs (N, w): when one side is exactly the
+    other minus its lane axis, the scalar stream gains that axis.
     """
     la = np.asarray(left)
     ra = np.asarray(right)
     if la.ndim >= 1 and la.ndim == ra.ndim - 1 and la.shape == ra.shape[: la.ndim]:
         return la[..., None], ra
     if ra.ndim >= 1 and ra.ndim == la.ndim - 1 and ra.shape == la.shape[: ra.ndim]:
-        return la, ra[..., None]
-    if la.ndim >= 1 and la.ndim == ra.ndim - 2 and la.shape == ra.shape[1:-1]:
-        return la[..., None], ra
-    if ra.ndim >= 1 and ra.ndim == la.ndim - 2 and ra.shape == la.shape[1:-1]:
         return la, ra[..., None]
     return left, right
 

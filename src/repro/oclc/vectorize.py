@@ -17,8 +17,10 @@ slices whenever they are affine in the flattened domain
 vector materialized at all). The per-``(n_items, buffer sizes)`` result
 is cached as a launch *plan*; a repeated launch is just the statement
 closures over pre-lowered selections. For a STREAM kernel that leaves
-the handful of vector ops the launch actually performs — and a
-benchmark point repeats the same launch ``warmup + ntimes`` times.
+the handful of vector ops the launch actually performs. A cached plan
+pays when a queue launches the same program again at one shape; a
+benchmark point executes its kernel once and times its other launches
+on the model alone.
 
 Eligibility is conservative and layered on the specializer's safety
 analysis (no data-dependent control flow, no read/write parameter
@@ -35,13 +37,6 @@ overlap, no loop-carried state beyond sum reductions — see
 Anything else raises :class:`~repro.errors.UnsupportedKernelError`, and
 the caller (:meth:`repro.ocl.queue.CommandQueue._execute`) runs the
 kernel on the interpreter instead.
-
-:meth:`VectorKernel.run_batch` additionally stacks *B* same-shape
-argument sets into one ``(B, n)`` array pass — the engine uses it to
-batch semantically identical sweep points (FPGA attribute variants:
-``num_simd_work_items``, ``num_compute_units``, …) from one scheduler
-slot. Element-wise semantics make the stacked pass bit-identical to B
-per-point runs; kernels with reductions or an epilogue are refused.
 
 The semantics are shared, not re-implemented: every closure calls the
 module-level primitives of :mod:`repro.oclc.specialize`, and the
@@ -103,12 +98,12 @@ def vectorize_kernel(
 class _Ctx:
     """Per-launch state threaded through the statement closures.
 
-    ``views``/``sel``/``sel_len``/``pre`` are only bound for a launch;
-    the plan builder evaluates domain-pure expressions, which never
-    touch memory, with ``env`` and ``n_items`` alone.
+    ``views``/``sel``/``sel_len`` are only bound for a launch; the plan
+    builder evaluates domain-pure expressions, which never touch
+    memory, with ``env`` and ``n_items`` alone.
     """
 
-    __slots__ = ("env", "n_items", "views", "sel", "sel_len", "pre")
+    __slots__ = ("env", "n_items", "views", "sel", "sel_len")
 
     def __init__(self, env: dict[str, object], n_items: int):
         self.env = env
@@ -162,23 +157,19 @@ def _lower_selection(idx: np.ndarray) -> object:
 
 
 def _store_selected(
-    view: np.ndarray, pre: tuple, sel: object, sel_len: int, value: object
+    view: np.ndarray, sel: object, sel_len: int, value: object
 ) -> None:
-    """Scatter ``value`` into ``view[pre + (sel,)]``.
+    """Scatter ``value`` into ``view[sel]``.
 
     A 1-D value whose length matches the selection is a scalar
     *stream* (one scalar per work-item) and broadcasts across the lanes
     of a vector-element view, as a scalar store to a vector element
-    does in the interpreter; the rule extends over the optional leading
-    batch axis (``pre == (slice(None),)``).
+    does in the interpreter.
     """
     arr = np.asarray(value)
-    if view.ndim - len(pre) == 2:  # vector-element view
-        if arr.ndim == 1 and arr.shape[0] == sel_len:
-            arr = arr[:, None]
-        elif pre and arr.ndim == 2 and arr.shape == (view.shape[0], sel_len):
-            arr = arr[..., None]
-    view[pre + (sel,)] = arr
+    if view.ndim == 2 and arr.ndim == 1 and arr.shape[0] == sel_len:
+        arr = arr[:, None]
+    view[sel] = arr
 
 
 class VectorKernel:
@@ -192,7 +183,6 @@ class VectorKernel:
         self._pure_decls: list[tuple[str, _ExprFn | None, T.Type]] = []
         self._pure_names: set[str] = {"gid0"} | {loop.var for loop in self.ir.loops}
         self._declared: set[str] = set()
-        self._batchable = not body.reductions and not body.epilogue
         self._plans: dict[tuple, _Plan] = {}
         self._writes = tuple(sorted({a.param for a in self.ir.writes}))
         self._reads = tuple(sorted({a.param for a in self.ir.reads}))
@@ -380,50 +370,38 @@ class VectorKernel:
         return int(global_size[0])
 
     def _check_hazards(
-        self, buffer_sets: list[dict[str, tuple[np.ndarray, T.Type]]]
+        self, buffers: Mapping[str, tuple[np.ndarray, T.Type]]
     ) -> None:
         """Refuse launches where slice *views* could observe a store.
 
         The interpreter reads each element when its work-item runs; this
         lane reads through views of whole arrays, so an output array
-        aliasing an input (or another output, across batch instances)
-        must fall back.
+        aliasing an input, or another output, must fall back.
         """
-        write_arrays: list[np.ndarray] = []
-        for buffers in buffer_sets:
-            for w in self._writes:
-                warr = buffers[w][0]
-                for r in self._reads:
-                    if np.may_share_memory(warr, buffers[r][0]):
-                        raise UnsupportedKernelError(
-                            f"output {w!r} may alias input {r!r}; "
-                            "array-lane views are unsafe"
-                        )
-                write_arrays.append(warr)
-        for i, a in enumerate(write_arrays):
-            for b in write_arrays[i + 1 :]:
-                if np.may_share_memory(a, b):
+        for w in self._writes:
+            warr = buffers[w][0]
+            for r in self._reads:
+                if np.may_share_memory(warr, buffers[r][0]):
+                    raise UnsupportedKernelError(
+                        f"output {w!r} may alias input {r!r}; "
+                        "array-lane views are unsafe"
+                    )
+        for i, w in enumerate(self._writes):
+            for other in self._writes[i + 1 :]:
+                if np.may_share_memory(buffers[w][0], buffers[other][0]):
                     raise UnsupportedKernelError(
                         "output buffers alias each other; array-lane "
                         "store order is not defined"
                     )
 
     def _make_views(
-        self,
-        buffers: Mapping[str, tuple[np.ndarray, T.Type]],
-        *,
-        batch: bool,
+        self, buffers: Mapping[str, tuple[np.ndarray, T.Type]]
     ) -> dict[tuple[str, int | None], np.ndarray]:
         views: dict[tuple[str, int | None], np.ndarray] = {}
         for key in self._view_keys:
             name, width = key
             arr = buffers[name][0]
-            if width is None:
-                views[key] = arr
-            elif batch:
-                views[key] = arr.reshape(arr.shape[0], -1, width)
-            else:
-                views[key] = arr.reshape(-1, width)
+            views[key] = arr if width is None else arr.reshape(-1, width)
         return views
 
     def run(
@@ -436,89 +414,17 @@ class VectorKernel:
         n_items = self._n_items(global_size)
         scalars: dict[str, object] = {}
         buffers = bind_arguments(self.program, self.ir, args, scalars)
-        self._check_hazards([buffers])
+        self._check_hazards(buffers)
         sizes = {name: arr.size for name, (arr, _ty) in buffers.items()}
         plan = self._plan_for(n_items, sizes)
         env = dict(plan.env_base)
         env.update(scalars)
         ctx = _Ctx(env, n_items)
-        ctx.views = self._make_views(buffers, batch=False)
+        ctx.views = self._make_views(buffers)
         ctx.sel = plan.sel
         ctx.sel_len = plan.sel_len
-        ctx.pre = ()
         for step in self._steps:
             step(ctx)
-
-    def run_batch(
-        self,
-        global_size: tuple[int, ...] | int,
-        calls: list[Mapping[str, object]],
-        local_size: tuple[int, ...] | None = None,
-    ) -> None:
-        """Execute B same-shape argument sets as one stacked array pass.
-
-        Bit-identical to running :meth:`run` once per call: statements
-        are element-wise over the domain, so adding a leading batch axis
-        commutes with every operation. Refuses kernels with reductions
-        or an epilogue (their cross-domain sums do not commute with the
-        batch axis) and argument sets that differ in scalar values or
-        buffer shapes.
-        """
-        if not self._batchable:
-            raise UnsupportedKernelError(
-                f"kernel {self.ir.name!r} has reductions or an epilogue; "
-                "batched execution is per-point only"
-            )
-        if not calls:
-            return
-        if len(calls) == 1:
-            self.run(global_size, calls[0], local_size)
-            return
-        n_items = self._n_items(global_size)
-        bound: list[tuple[dict[str, object], dict[str, tuple[np.ndarray, T.Type]]]] = []
-        for call in calls:
-            scalars: dict[str, object] = {}
-            buffers = bind_arguments(self.program, self.ir, call, scalars)
-            bound.append((scalars, buffers))
-        scalars0, buffers0 = bound[0]
-        for scalars, buffers in bound[1:]:
-            for name, value in scalars0.items():
-                if not np.array_equal(
-                    np.asarray(value), np.asarray(scalars[name])
-                ):
-                    raise UnsupportedKernelError(
-                        f"scalar argument {name!r} differs across the batch"
-                    )
-            for name, (arr0, _ty) in buffers0.items():
-                arr = buffers[name][0]
-                if arr.shape != arr0.shape or arr.dtype != arr0.dtype:
-                    raise UnsupportedKernelError(
-                        f"buffer {name!r} shape/dtype differs across the batch"
-                    )
-        self._check_hazards([buffers for _, buffers in bound])
-        sizes = {name: arr.size for name, (arr, _ty) in buffers0.items()}
-        plan = self._plan_for(n_items, sizes)
-        stacked: dict[str, tuple[np.ndarray, T.Type]] = {
-            name: (
-                np.stack([buffers[name][0] for _, buffers in bound]),
-                element,
-            )
-            for name, (_, element) in buffers0.items()
-        }
-        env = dict(plan.env_base)
-        env.update(scalars0)
-        ctx = _Ctx(env, n_items)
-        ctx.views = self._make_views(stacked, batch=True)
-        ctx.sel = plan.sel
-        ctx.sel_len = plan.sel_len
-        ctx.pre = (slice(None),)
-        for step in self._steps:
-            step(ctx)
-        for name in self._writes:
-            out = stacked[name][0]
-            for i, (_, buffers) in enumerate(bound):
-                buffers[name][0][:] = out[i]
-        obs_metrics.count("fastpath.batch.instances", len(calls))
 
 
 class _Compiler:
@@ -725,7 +631,7 @@ class _Compiler:
         view_key = (name, width)
 
         def run_load(ctx: _Ctx) -> object:
-            return ctx.views[view_key][ctx.pre + (ctx.sel[site],)]
+            return ctx.views[view_key][ctx.sel[site]]
 
         return run_load
 
@@ -739,7 +645,7 @@ class _Compiler:
 
         def run_store(ctx: _Ctx, value: object) -> None:
             _store_selected(
-                ctx.views[view_key], ctx.pre, ctx.sel[site], ctx.sel_len[site], value
+                ctx.views[view_key], ctx.sel[site], ctx.sel_len[site], value
             )
 
         return run_store
@@ -759,7 +665,7 @@ class _Compiler:
             site = self._site(name, width, expr.args[0], line)
 
             def run_vload(ctx: _Ctx) -> object:
-                return ctx.views[view_key][ctx.pre + (ctx.sel[site],)]
+                return ctx.views[view_key][ctx.sel[site]]
 
             return run_vload
         data_fn = self.expr(expr.args[0])
@@ -768,7 +674,6 @@ class _Compiler:
         def run_vstore(ctx: _Ctx) -> object:
             _store_selected(
                 ctx.views[view_key],
-                ctx.pre,
                 ctx.sel[site],
                 ctx.sel_len[site],
                 data_fn(ctx),

@@ -326,3 +326,46 @@ class TestExecutionPaths:
         assert len(q._specialized_cache) == 1
         q.enqueue_nd_range_kernel(k, (64,))
         assert len(q._specialized_cache) == 1
+
+    def test_runner_cache_keeps_most_recently_used(self, cpu_device):
+        from repro.obs import metrics as obs_metrics
+        from repro.ocl.queue import _RUNNER_CACHE_SIZE
+
+        ctx = Context(cpu_device)
+        q = CommandQueue(ctx, cpu_device)
+        a = ctx.create_buffer(hostbuf=np.arange(64, dtype=np.int32))
+        c = ctx.create_buffer(size=256)
+        kernels = [
+            Program(
+                ctx,
+                "__kernel void add_k(__global const int *a, __global int *c) {"
+                f" size_t i = get_global_id(0); c[i] = a[i] + {j}; }}",
+            )
+            .build()
+            .create_kernel("add_k")
+            .set_args(a=a, c=c)
+            for j in range(_RUNNER_CACHE_SIZE + 2)
+        ]
+
+        def launch(j: int) -> None:
+            q.enqueue_nd_range_kernel(kernels[j], (64,))
+            assert np.array_equal(c.view(np.int32), np.arange(64) + j)
+
+        def cached() -> set[int]:
+            keys = {(id(k.program.checked), "add_k"): j for j, k in enumerate(kernels)}
+            return {keys[key] for key in q._specialized_cache}
+
+        reg = obs_metrics.MetricsRegistry()
+        with obs_metrics.use_registry(reg):
+            for j in range(_RUNNER_CACHE_SIZE):
+                launch(j)
+            launch(0)  # now the most recently used
+            launch(_RUNNER_CACHE_SIZE)
+            assert cached() == set(range(_RUNNER_CACHE_SIZE + 1)) - {1}
+            launch(_RUNNER_CACHE_SIZE + 1)
+            assert cached() == set(range(_RUNNER_CACHE_SIZE + 2)) - {1, 2}
+            launch(1)  # evicted: rebuilt, same output
+        assert len(q._specialized_cache) == _RUNNER_CACHE_SIZE
+        assert 1 in cached() and 0 in cached()
+        builds = reg.snapshot()["counters"]["fastpath.kernels.vectorized"]
+        assert builds == _RUNNER_CACHE_SIZE + 3

@@ -14,14 +14,15 @@ the one outcome these tests exist to make impossible.
 
 Covers: the full 13-variant conformance grid x 4 kernels x 3 dtypes,
 ragged tails (sizes that leave unroll/nested-loop remainders), the
-grid-point-stacked batch path (``VectorKernel.run_batch`` and
-``ExecutionEngine.run_batch``), the queue's fallback to the
+engine's one functional run per point, the queue's fallback to the
 interpreter, hypothesis fuzzing with greedy shrinking, golden-corpus
 pinning, and the ``vectorize`` fault site's negative path on both
 scheduler backends.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import explore
+from repro.core import engine as engine_mod
 from repro.core.engine import ExecutionEngine
 from repro.core.generator import generate
 from repro.core.history import point_fingerprint
@@ -42,14 +44,15 @@ from repro.core.params import (
     TuningParameters,
 )
 from repro.core.runner import BenchmarkRunner
+from repro.core.scheduler import CampaignScheduler
 from repro.core.sweep import ParameterSweep
-from repro.errors import SweepError, UnsupportedKernelError
+from repro.errors import UnsupportedKernelError
 from repro.faults import FAULT_SITES, FaultPlan, FaultSpec
 from repro.obs import metrics as obs_metrics
 from repro.ocl import CommandQueue, Context, Program
 from repro.ocl.platform import find_device
 from repro.oclc import (
-    VectorKernel,
+    analyze,
     compile_source,
     compile_source_cached,
     run_kernel,
@@ -151,97 +154,7 @@ def test_ragged_tails_bit_identical(kernel):
         assert got == _oracle(params), params.describe()
 
 
-# -- batch path: stacked grid points == one-at-a-time -------------------------
-
-
-def _batch_fixture(params: TuningParameters, n: int):
-    """(kernel, gen, n calls with distinct initial arrays, copies)."""
-    gen = generate(params)
-    checked = compile_source_cached(
-        gen.source, {k: str(v) for k, v in gen.defines.items()}
-    )
-    vk = vectorize_kernel(checked, gen.kernel_name)
-    assert isinstance(vk, VectorKernel)
-    spec = KERNELS[params.kernel]
-    rng = np.random.default_rng(17)
-    calls, mirrors = [], []
-    for _ in range(n):
-        base = initial_arrays(params.word_count, params.dtype)
-        arrays = {
-            name: (base[name] + rng.integers(1, 5)).astype(base[name].dtype)
-            for name in ("a", "b", "c")
-        }
-        mirrors.append({name: arr.copy() for name, arr in arrays.items()})
-        call = {
-            name: BufferArg(arrays[name]) for name in (*spec.reads, spec.writes)
-        }
-        if spec.uses_scalar:
-            call["q"] = SCALAR_Q
-        calls.append((arrays, call))
-    return gen, vk, spec, calls, mirrors
-
-
-@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.value)
-def test_run_batch_matches_per_run(kernel):
-    params = TuningParameters(
-        kernel=kernel, array_bytes=ARRAY_BYTES, vector_width=4
-    )
-    gen, vk, spec, calls, mirrors = _batch_fixture(params, 4)
-    vk.run_batch(gen.global_size, [c for _, c in calls], gen.local_size)
-    for (arrays, _), mirror in zip(calls, mirrors):
-        call = {
-            name: BufferArg(mirror[name]) for name in (*spec.reads, spec.writes)
-        }
-        if spec.uses_scalar:
-            call["q"] = SCALAR_Q
-        vk.run(gen.global_size, call, gen.local_size)
-        for name in ("a", "b", "c"):
-            assert np.array_equal(arrays[name], mirror[name]), (
-                f"{kernel.value}: batched {name} diverges from per-run"
-            )
-
-
-def test_run_batch_refuses_mixed_shapes():
-    params = TuningParameters(array_bytes=ARRAY_BYTES)
-    gen, vk, spec, calls, _ = _batch_fixture(params, 2)
-    small = initial_arrays(params.word_count // 2, params.dtype)
-    calls[1][1]["a"] = BufferArg(small["a"])
-    with pytest.raises(UnsupportedKernelError, match="shape"):
-        vk.run_batch(gen.global_size, [c for _, c in calls], gen.local_size)
-
-
-def test_run_batch_refuses_mixed_scalars():
-    params = TuningParameters(kernel=KernelName.TRIAD, array_bytes=ARRAY_BYTES)
-    gen, vk, spec, calls, _ = _batch_fixture(params, 2)
-    calls[1][1]["q"] = SCALAR_Q + 1
-    with pytest.raises(UnsupportedKernelError, match="scalar"):
-        vk.run_batch(gen.global_size, [c for _, c in calls], gen.local_size)
-
-
-def test_run_batch_single_and_empty_degenerate():
-    params = TuningParameters(array_bytes=ARRAY_BYTES)
-    gen, vk, spec, calls, mirrors = _batch_fixture(params, 1)
-    vk.run_batch(gen.global_size, [])  # no-op
-    vk.run_batch(gen.global_size, [calls[0][1]], gen.local_size)
-    call = {
-        name: BufferArg(mirrors[0][name]) for name in (*spec.reads, spec.writes)
-    }
-    vk.run(gen.global_size, call, gen.local_size)
-    for name in ("a", "b", "c"):
-        assert np.array_equal(calls[0][0][name], mirrors[0][name])
-
-
 # -- engine + scheduler integration -------------------------------------------
-
-#: a batchable slot: the simd attribute changes the device build but
-#: not the kernel body, so all three points share one batch signature
-BATCH_POINTS = [
-    TuningParameters(
-        array_bytes=64 * KIB, reqd_work_group_size=64, num_simd_work_items=s
-    )
-    for s in (1, 2, 4)
-]
-
 
 def _engine(**kw) -> ExecutionEngine:
     kw.setdefault("ntimes", 2)
@@ -270,6 +183,34 @@ class TestEngineLanes:
         assert counters.get("fastpath.runs.interpreted", 0) > 0
         assert "fastpath.runs.vectorized" not in counters
 
+    def test_run_batch_degrades_when_array_lane_refuses(self, monkeypatch):
+        # a batch of points run through the scheduler: when the array
+        # lane refuses, every point quietly takes the interpreter and
+        # the batch's results do not move
+        sweep = ParameterSweep(
+            base=TuningParameters(array_bytes=4 * KIB, reqd_work_group_size=64),
+            axes={"num_simd_work_items": [1, 2, 4]},
+        )
+
+        def run_batch() -> tuple[list[str], dict[str, int]]:
+            reg = obs_metrics.MetricsRegistry()
+            with obs_metrics.use_registry(reg):
+                results = explore(ExecutionEngine("aocl", ntimes=2), sweep)
+            counters = reg.snapshot()["counters"]
+            assert all(r.ok for r in results)
+            runs = {
+                name: counters.get(f"fastpath.runs.{name}", 0)
+                for name in ("vectorized", "interpreted")
+            }
+            return [r.fingerprint() for r in results], runs
+
+        default, default_runs = run_batch()
+        _refuse_array_lane(monkeypatch)
+        fallback, fallback_runs = run_batch()
+        assert fallback == default and len(default) == 3
+        assert default_runs == {"vectorized": 3, "interpreted": 0}
+        assert fallback_runs == {"vectorized": 0, "interpreted": 3}
+
     def test_unknown_lane_rejected(self):
         # the lane is no longer selectable anywhere: a stale caller
         # fails loudly instead of having its choice silently ignored
@@ -280,54 +221,92 @@ class TestEngineLanes:
         with pytest.raises(SystemExit):
             main(["run", "--exec-lane", "interp"])
 
-    def test_run_batch_matches_run_fingerprints(self):
+    @pytest.mark.parametrize("lane", ["vectorized", "interpreted"])
+    def test_point_executes_its_kernel_once(self, monkeypatch, lane):
+        # all warmup + ntimes launches reach the queue and the model;
+        # only the first runs the kernel body
+        if lane == "interpreted":
+            _refuse_array_lane(monkeypatch)
         reg = obs_metrics.MetricsRegistry()
         with obs_metrics.use_registry(reg):
-            batched = ExecutionEngine("aocl", ntimes=2).run_batch(BATCH_POINTS)
-        single = [
-            ExecutionEngine("aocl", ntimes=2).run(p) for p in BATCH_POINTS
-        ]
-        assert [r.fingerprint() for r in batched] == [
-            r.fingerprint() for r in single
-        ]
+            result = _engine(warmup=1, ntimes=5).run(
+                TuningParameters(array_bytes=64 * KIB, vector_width=4)
+            )
+        assert result.ok and len(result.times) == 5
         counters = reg.snapshot()["counters"]
-        assert counters.get("engine.batched_points", 0) == len(BATCH_POINTS)
-        assert counters.get("fastpath.runs.primed", 0) > 0
+        assert counters["queue.kernel_launches"] == 6
+        runs = {
+            name: counters.get(f"fastpath.runs.{name}", 0)
+            for name in ("vectorized", "interpreted")
+        }
+        assert runs == {name: int(name == lane) for name in runs}
 
-    def test_run_batch_heterogeneous_points_still_identical(self):
-        # differing kernels / dtypes split into singleton groups: no
-        # priming happens, results still match the unbatched path
-        points = [
-            TuningParameters(array_bytes=32 * KIB),
-            TuningParameters(
-                array_bytes=32 * KIB, kernel=KernelName.TRIAD
-            ),
-            TuningParameters(array_bytes=32 * KIB, dtype=DataType.DOUBLE),
-        ]
-        batched = _engine().run_batch(points)
-        single = [_engine().run(p) for p in points]
-        assert [r.fingerprint() for r in batched] == [
-            r.fingerprint() for r in single
-        ]
+    def test_executing_every_launch_changes_nothing(self, monkeypatch):
+        # the differential behind the one-run contract: with
+        # external_execution disabled every launch runs the kernel
+        # again, and results and output bytes must not move
+        sweep = ParameterSweep(
+            base=TuningParameters(array_bytes=16 * KIB),
+            axes={
+                "kernel": list(ALL_KERNELS),
+                "dtype": [DataType.INT, DataType.DOUBLE],
+                "vector_width": [1, 4],
+                "loop": [LoopManagement.NDRANGE, LoopManagement.FLAT],
+            },
+        )
+        outputs: list[str] = []
+        real_validate = engine_mod.validate_solution
 
-    def test_run_batch_degrades_when_array_lane_refuses(self, monkeypatch):
-        # a kernel the array lane refuses cannot be primed, so batching
-        # must quietly degrade to the per-point (interpreted) path
-        points = [p.with_(array_bytes=4 * KIB) for p in BATCH_POINTS]
+        def spy(kernel, dtype, initial, observed, **kw):
+            outputs.append(output_checksum(observed))
+            return real_validate(kernel, dtype, initial, observed, **kw)
 
-        def run_batch() -> tuple[list[str], int]:
+        monkeypatch.setattr(engine_mod, "validate_solution", spy)
+
+        def campaign() -> tuple[list[str], list[str], int, int]:
+            outputs.clear()
             reg = obs_metrics.MetricsRegistry()
             with obs_metrics.use_registry(reg):
-                results = ExecutionEngine("aocl", ntimes=2).run_batch(points)
+                results = explore(ExecutionEngine("aocl", ntimes=2), sweep)
             counters = reg.snapshot()["counters"]
+            runs = counters.get("fastpath.runs.vectorized", 0) + counters.get(
+                "fastpath.runs.interpreted", 0
+            )
+            assert all(r.ok for r in results)
             prints = [r.fingerprint() for r in results]
-            return prints, counters.get("engine.batched_points", 0)
+            return prints, list(outputs), runs, counters["queue.kernel_launches"]
 
-        default, default_batched = run_batch()
-        _refuse_array_lane(monkeypatch)
-        fallback, fallback_batched = run_batch()
-        assert fallback == default
-        assert default_batched == len(points) and fallback_batched == 0
+        default, default_out, default_runs, launches = campaign()
+        monkeypatch.setattr(
+            CommandQueue, "external_execution", lambda self: nullcontext()
+        )
+        forced, forced_out, forced_runs, forced_launches = campaign()
+        assert forced == default
+        assert forced_out == default_out and len(default_out) == len(default) == 32
+        assert default_runs == len(default)
+        assert forced_runs == forced_launches == launches == 3 * len(default)
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.value)
+def test_every_stream_kernel_writes_a_buffer_it_does_not_read(kernel):
+    """The engine's one-run contract: a second pass cannot change output.
+
+    Checked on the spec table and on every conformance variant's
+    generated kernel, so neither a new kernel nor a generator change can
+    slip a read of the output buffer past it.
+    """
+    spec = KERNELS[kernel]
+    assert spec.writes not in spec.reads
+    for dtype in ALL_DTYPES:
+        for params in variant_grid(kernel, dtype, ARRAY_BYTES):
+            gen = generate(params)
+            checked = compile_source_cached(
+                gen.source, {k: str(v) for k, v in gen.defines.items()}
+            )
+            ir = analyze(checked, gen.kernel_name)
+            reads = {a.param for a in ir.reads}
+            assert {a.param for a in ir.writes} == {spec.writes}, params.describe()
+            assert spec.writes not in reads, params.describe()
 
 
 # -- the queue's only lane choice: array lane, else the interpreter -----------
@@ -346,6 +325,18 @@ SHIFT_SRC = """
 __kernel void shift_k(__global const int *a, __global int *c) {
     size_t i = get_global_id(0);
     c[i + 1] = a[i];
+}
+"""
+
+#: with ``c`` and ``d`` bound to one buffer, each work-item's ``c`` store
+#: overwrites its predecessor's ``d`` store, while whole-array evaluation
+#: would let the ``d`` statement overwrite every ``c`` store but the first
+TWO_OUT_SRC = """
+__kernel void two_out_k(__global const int *a, __global int *c,
+                        __global int *d) {
+    size_t i = get_global_id(0);
+    c[i] = a[i];
+    d[i + 1] = a[i] * 2;
 }
 """
 
@@ -407,25 +398,55 @@ class TestQueueFallback:
         assert counters.get("fastpath.runs.vectorized") == 1
         assert counters.get("fastpath.runs.interpreted") == 1
 
+    def test_aliased_outputs_demote_to_interpreter(self):
+        n = 16
+        a = np.arange(1, n + 1, dtype=np.int32)
+        want = np.zeros(n, dtype=np.int32)
+        run_kernel(
+            compile_source(TWO_OUT_SRC), "two_out_k", (n - 1,),
+            {"a": BufferArg(a.copy()), "c": BufferArg(want), "d": BufferArg(want)},
+        )
+        assert np.array_equal(want, np.r_[a[: n - 1], 2 * a[n - 2]])
+        queue, kernel, bufs = _queue_kernel(
+            TWO_OUT_SRC, "two_out_k",
+            a=a, c=np.zeros(n, dtype=np.int32), d=np.zeros(n, dtype=np.int32),
+            shared=np.zeros(n, dtype=np.int32),
+        )
+        reg = obs_metrics.MetricsRegistry()
+        with obs_metrics.use_registry(reg):
+            # distinct outputs: the array lane builds and runs
+            kernel.set_args(a=bufs["a"], c=bufs["c"], d=bufs["d"])
+            queue.enqueue_nd_range_kernel(kernel, (n - 1,))
+            assert np.array_equal(bufs["d"].view(np.int32)[1:], 2 * a[:-1])
+            # one buffer as both outputs: _check_hazards refuses the
+            # launch and the interpreter runs it instead
+            kernel.set_args(a=bufs["a"], c=bufs["shared"], d=bufs["shared"])
+            queue.enqueue_nd_range_kernel(kernel, (n - 1,))
+        assert np.array_equal(bufs["shared"].view(np.int32), want)
+        counters = reg.snapshot()["counters"]
+        assert counters.get("fastpath.runs.vectorized") == 1
+        assert counters.get("fastpath.runs.interpreted") == 1
+
 
 class TestSlotBatchScheduler:
-    def _sweep(self):
-        return ParameterSweep(
-            base=TuningParameters(array_bytes=32 * KIB),
-            axes={"vector_width": [1, 2, 4], "array_bytes": [32 * KIB, 64 * KIB]},
-        )
-
-    def test_slot_batched_sweep_fingerprint_identical(self):
-        plain = explore(_engine(ntimes=1), self._sweep())
-        batched = explore(_engine(ntimes=1), self._sweep(), slot_batch=4)
-        assert len(plain) == len(batched) == 6
-        assert [r.fingerprint() for r in plain] == [
-            r.fingerprint() for r in batched
-        ]
-
     def test_slot_batch_validated(self):
-        with pytest.raises(SweepError, match="slot_batch"):
-            explore(_engine(ntimes=1), self._sweep(), slot_batch=0)
+        # slot batching is gone (every point runs its kernel once): a
+        # stale caller fails loudly instead of being silently ignored
+        sweep = ParameterSweep(
+            base=TuningParameters(array_bytes=4 * KIB),
+            axes={"vector_width": [1, 2]},
+        )
+        with pytest.raises(TypeError, match="slot_batch"):
+            explore(_engine(ntimes=1), sweep, slot_batch=2)
+        with pytest.raises(TypeError, match="slot_batch"):
+            CampaignScheduler(_engine(ntimes=1), slot_batch=2)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--target", "cpu", "--size", "4KiB",
+                "--axis", "vector_width=1,2", "--ntimes", "1",
+                "--slot-batch", "4",
+            ])
+        assert exc.value.code == 2
 
 
 # -- hypothesis: vectorize exactly or refuse loudly ---------------------------
