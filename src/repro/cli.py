@@ -45,6 +45,7 @@ from .core import (
     series_table,
     stream_table,
 )
+from .core.search.multifidelity import DEFAULT_BUDGET
 from .errors import ReproError
 from .faults import FAULT_SITES
 from .ocl.platform import get_platforms
@@ -214,7 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_args(source)
 
     tune = sub.add_parser(
-        "autotune", help="coordinate-descent DSE instead of a full grid"
+        "autotune",
+        help="model-guided DSE: rank a grid on the device model, measure "
+        "its top --budget points",
     )
     _add_point_args(tune)
     _add_obs_args(tune)
@@ -225,44 +228,27 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FIELD=V1,V2,...",
         help="axis to tune over (repeatable; default: loop + vector_width + unroll)",
     )
-    tune.add_argument("--budget", type=int, default=40, help="max evaluations")
-    tune.add_argument("--ntimes", type=int, default=3)
     tune.add_argument(
-        "--strategy",
-        choices=("descent", "multifidelity"),
-        default="descent",
-        help="descent: greedy coordinate descent (default); multifidelity: "
-        "model-guided successive halving + refinement (docs/AUTOTUNE.md)",
-    )
-    tune.add_argument(
-        "--eta",
+        "--budget",
         type=int,
-        default=2,
-        metavar="N",
-        help="multifidelity halving rate: keep ceil(n/N) survivors per rung "
-        "(default: 2)",
+        default=DEFAULT_BUDGET,
+        help=f"max measured evaluations (default: {DEFAULT_BUDGET})",
     )
-    tune.add_argument(
-        "--no-refine",
-        action="store_true",
-        help="multifidelity: skip local refinement, spend the whole budget "
-        "on halving",
-    )
+    tune.add_argument("--ntimes", type=int, default=3)
     tune.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
-        help="evaluate each axis scan's candidates on N workers "
-        "(the trajectory is unchanged)",
+        help="measure the model's top --budget points on N workers "
+        "(the result is unchanged)",
     )
     tune.add_argument(
         "--backend",
         choices=BACKENDS,
         default=None,
         help="execution backend for evaluations (default: process when "
-        "--jobs > 1, else serial); small search batches rarely gain from "
-        "--jobs",
+        "--jobs > 1, else serial)",
     )
     tune.add_argument(
         "--journal",
@@ -714,7 +700,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     with _obs_session(args) as session:
         reporter = obs.SweepProgress(total=len(sweep), verbosity=_verbosity(args))
-        # the CLI is a scheduler client like explore()/autotune(): the
+        # the CLI is a scheduler client like explore(): the
         # scheduler handle is kept so crash/requeue counters can be shown
         scheduler = CampaignScheduler(
             runner,
@@ -887,7 +873,7 @@ def _cmd_source(args: argparse.Namespace) -> int:
 
 def _cmd_autotune(args: argparse.Namespace) -> int:
     from .core import LoopManagement as _LM
-    from .core import autotune, multifidelity_search
+    from .core import multifidelity_search
 
     seed = _params_from(args)
     if args.axis:
@@ -905,58 +891,34 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
         else None
     )
     with _obs_session(args) as session:
-        if args.strategy == "multifidelity":
-            out = multifidelity_search(
-                runner,
-                axes,
-                seed=seed,
-                budget=args.budget,
-                eta=args.eta,
-                refine=not args.no_refine,
-                jobs=args.jobs,
-                backend=args.backend,
-                journal=journal,
-                resume=args.resume,
-                resume_or_start=args.resume_or_start,
-            )
-        else:
-            out = autotune(
-                runner,
-                axes,
-                seed=seed,
-                budget=args.budget,
-                jobs=args.jobs,
-                backend=args.backend,
-                journal=journal,
-                resume=args.resume,
-                resume_or_start=args.resume_or_start,
-            )
+        out = multifidelity_search(
+            runner,
+            axes,
+            seed=seed,
+            budget=args.budget,
+            jobs=args.jobs,
+            backend=args.backend,
+            journal=journal,
+            resume=args.resume,
+            resume_or_start=args.resume_or_start,
+        )
         # inside the session so the warnings also land in --log-json
         _warn_journal_health(journal)
     _report_obs(session)
-    if args.strategy == "multifidelity":
+    print(
+        f"evaluated {out.spent}/{out.pool_size} pool points "
+        f"(trajectory {out.trajectory_fingerprint()})"
+    )
+    for rung in out.rungs:
         print(
-            f"evaluated {out.spent}/{out.pool_size} pool points "
-            f"({len(out.rungs)} rungs, trajectory "
-            f"{out.trajectory_fingerprint()})"
-        )
-        for rung in out.rungs:
-            print(
-                f"  rung {rung.index} [{rung.tier}]: "
-                f"{len(rung.candidates)} candidate(s) -> "
-                f"{len(rung.survivors)} survivor(s), spent {rung.spent}"
-            )
-    else:
-        print(
-            f"evaluated {out.evaluations_used} points in {out.rounds} round(s)"
+            f"  rung {rung.index} [{rung.tier}]: "
+            f"{len(rung.candidates)} candidate(s), spent {rung.spent}"
         )
     if journal is not None:
         print(
             f"journal: {journal.reused} restored, {journal.executed} executed"
             f" -> {journal.path}"
         )
-    for desc, bw in out.trajectory:
-        print(f"  -> {desc}: {bw:.3f} GB/s")
     best = out.best
     print(
         f"\nbest: {best.params.describe()} = "

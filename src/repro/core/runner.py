@@ -21,7 +21,7 @@ The staged pipeline itself (generate → compile → plan → execute, with
 content-addressed artifact caching and per-stage instrumentation) lives
 in :mod:`repro.core.engine`; :class:`BenchmarkRunner` wraps one
 :class:`~repro.core.engine.ExecutionEngine` so every existing call site
-— sweeps, autotune, figures, CLI — rides the cached path for free.
+— sweeps, search, figures, CLI — rides the cached path for free.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ This package separates *what a campaign runs* from *where it runs*:
   protocol.
 
 :func:`repro.core.sweep.explore` and
-:func:`repro.core.autotune.autotune` are thin clients of this layer;
+:func:`repro.core.search.multifidelity_search` are thin clients of this
+layer;
 see ``docs/SCHEDULING.md`` for the backend matrix and semantics.
 """
 

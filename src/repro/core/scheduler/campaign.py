@@ -7,8 +7,9 @@ journal-backed checkpoint/resume, the worker-crash requeue policy,
 progress callbacks, and the campaign's obs events/spans/metrics.
 Execution itself is delegated to an :class:`~repro.core.scheduler.executors.Executor`
 (serial / process — see :mod:`repro.core.scheduler.executors`),
-so :func:`repro.core.sweep.explore`, :func:`repro.core.autotune.autotune`
-and the CLI are all thin clients of one scheduling engine.
+so :func:`repro.core.sweep.explore`,
+:func:`repro.core.search.multifidelity_search` and the CLI are all thin
+clients of one scheduling engine.
 
 Crash/requeue policy
 --------------------
@@ -77,9 +78,8 @@ class CampaignScheduler:
     there is more than one point to run, serial otherwise.
 
     The scheduler is reusable: each :meth:`run` call schedules one
-    batch (the autotuner runs many batches through one scheduler), and
-    the journal/restore state and the crash/requeue/dedup counters
-    carry across batches.
+    batch, and the journal/restore state and the crash/requeue/dedup
+    counters carry across batches.
     """
 
     def __init__(

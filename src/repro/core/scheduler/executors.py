@@ -172,7 +172,7 @@ class Executor:
 
     Closing the session cancels queued-but-unstarted tasks and releases
     workers. Executors are stateless factories — one instance can open
-    any number of sequential sessions (the autotuner opens one per
+    any number of sequential sessions (a scheduler opens one per
     batch).
     """
 

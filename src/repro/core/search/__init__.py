@@ -1,4 +1,4 @@
-"""Model-guided multi-fidelity search (the automated DSE route).
+"""Model-guided search (the automated DSE route).
 
 See :mod:`repro.core.search.multifidelity` for the algorithm and
 :mod:`repro.core.search.lowfi` for the analytic-model scoring tier.
@@ -8,7 +8,6 @@ from .lowfi import LowFidelityScorer
 from .multifidelity import (
     SearchResult,
     SearchRung,
-    halving_widths,
     multifidelity_search,
     promote,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "LowFidelityScorer",
     "SearchResult",
     "SearchRung",
-    "halving_widths",
     "multifidelity_search",
     "promote",
 ]

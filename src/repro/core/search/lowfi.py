@@ -1,8 +1,7 @@
 """The low-fidelity tier: analytic device-model scores, no execution.
 
-The multi-fidelity searcher (:mod:`repro.core.search.multifidelity`)
-needs a cheap estimate of every candidate in the pool before it spends
-any *measured* evaluations. The analytic device models already predict
+The searcher (:mod:`repro.core.search.multifidelity`) ranks every
+candidate in the pool before it spends any *measured* evaluations. The analytic device models already predict
 launch time from the kernel IR alone — :meth:`DeviceModel.score_launch`
 — so a "low-fidelity evaluation" here is generate → front-end → device
 build → modelled seconds, with **no arrays allocated and no kernel
@@ -47,22 +46,16 @@ class LowFidelityScorer:
         engine = runner.engine if isinstance(runner, BenchmarkRunner) else runner
         self.engine = engine
         self.device = engine.device
-        model = self.device.model
-        if not getattr(model, "supports_lowfi", True):
-            raise SweepError(
-                f"device model for {self.device.short_name!r} does not "
-                "support low-fidelity scoring (supports_lowfi is False); "
-                "use exhaustive explore() or coordinate-descent autotune()"
-            )
         self._memo: dict[TuningParameters, Optional[float]] = {}
 
     def check_scorable(self, params: TuningParameters) -> None:
         """Raise :class:`SweepError` if the model tier cannot score ``params``."""
         if params.locus is StreamLocus.HOST:
             raise SweepError(
-                "low-fidelity tier cannot score host-locus points (PCIe "
-                "streaming has no kernel launch to model); drop "
-                "locus=host from the search axes"
+                "host-stream points cannot be model-scored (PCIe "
+                "streaming has no kernel launch to model), so autotune "
+                "cannot search them; measure them with "
+                "`mp-stream sweep --host-streams`"
             )
 
     def score(self, params: TuningParameters) -> Optional[float]:

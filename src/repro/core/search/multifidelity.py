@@ -1,45 +1,44 @@
-"""Model-guided multi-fidelity search over the tuning space.
+"""Model-guided search over the tuning space: the one automated DSE route.
 
 The paper frames MP-STREAM as fuel for "both a manual and automated
 design-space exploration route". Grid sweeps (:func:`~repro.core.sweep.
-explore`) are the manual route and coordinate descent
-(:func:`~repro.core.autotune.autotune`) a first automated one; this
-module is the model-guided route: find the exhaustive sweep's optimum
-while *measuring* under 10% of the grid.
+explore`) are the manual route; this module is the automated one: find
+the exhaustive sweep's optimum while *measuring* under 10% of the grid.
 
-Three fidelity tiers:
+Two fidelity tiers:
 
 1. **Model tier (free).** The analytic device model scores every
    candidate in the pool (:class:`~repro.core.search.lowfi.
    LowFidelityScorer`) — generate → cached build → closed-form predicted
    GB/s, no execution. Build failures score ``None`` and are never
    admitted.
-2. **Measured tier (successive halving).** The model ranking is
-   admitted in geometric tranches: the top ``w0`` candidates are
-   engine-measured, the best ``ceil(w0/eta)`` survivors carry into the
-   next rung where the next ``w1 = w0 // eta`` ranked candidates join
-   them, and so on down to a single survivor. Survivors are promoted by
-   *measured* bandwidth; the model only decides admission order.
-3. **Refinement tier.** Remaining budget walks ±1 axis steps around the
-   incumbent, accepting strict improvements, until no neighbour wins or
-   the budget is gone.
+2. **Measured tier.** The first ``min(budget, buildable)`` points of the
+   model ranking are engine-measured in one scheduler batch, and the
+   best *measured* point wins. The model only decides which points get
+   measured, never which one wins.
+
+The search's one premise is that the model ranks points as measurement
+does; ``tests/test_search.py`` checks it point by point on the paper
+grid, so a model that drifts from the engine fails a test instead of
+silently steering the search.
 
 Determinism is load-bearing (the differential harness and golden
 trajectories pin it): every ordering is by ``(-score, pool_index)`` —
 ties keep the earlier candidate in pool (row-major grid) order — and is
 computed from *values*, never from completion order. The searcher is a
 thin :class:`~repro.core.scheduler.CampaignScheduler` client exactly
-like ``explore()``: measured rungs are scheduler batches, so journaling
-and ``resume=`` (restored evaluations still count against the budget —
-that is what keeps a resumed trajectory identical), serial and
-process backends, slot batching, and crash-requeue all come for free.
+like ``explore()``: the measured tier is one scheduler batch, so
+journaling and ``resume=``, serial and process backends, and
+crash-requeue all come for free. Restored evaluations count against the
+budget by construction, because the model ranking alone fixes the
+measured set.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -55,27 +54,31 @@ from ..sweep import ParameterSweep
 from .lowfi import LowFidelityScorer
 
 __all__ = [
+    "DEFAULT_BUDGET",
     "SearchRung",
     "SearchResult",
-    "halving_widths",
     "promote",
     "multifidelity_search",
 ]
 
 
+#: measured evaluations a search spends unless told otherwise
+DEFAULT_BUDGET = 6
+
+
 @dataclass(frozen=True)
 class SearchRung:
-    """One rung of the search, recorded for fingerprinting.
+    """One tier of the search, recorded for fingerprinting.
 
     ``candidates``/``scores`` are aligned: the points considered at this
-    rung in pool order and the score each received (model GB/s for the
-    model rung, measured GB/s for measured/refine rungs; ``None`` for a
-    point that failed to build or run). ``survivors`` is the ordered
-    subset promoted to the next rung.
+    tier in pool order and the score each received (model GB/s for the
+    model rung, measured GB/s for the measured rung; ``None`` for a
+    point that failed to build or run). ``survivors`` is their ranking
+    by ``(-score, pool_index)``: the model ranking, or the measured one.
     """
 
     index: int
-    tier: str  # "model" | "measured" | "refine"
+    tier: str  # "model" | "measured"
     candidates: tuple[str, ...]
     scores: tuple[Optional[float], ...]
     survivors: tuple[str, ...]
@@ -100,13 +103,11 @@ class SearchRung:
 
 @dataclass
 class SearchResult:
-    """Outcome of a multi-fidelity search."""
+    """Outcome of a model-guided search."""
 
     best: RunResult
     evaluations: ResultSet
     rungs: list[SearchRung]
-    #: improvement path: (params description, bandwidth) per accepted move
-    trajectory: list[tuple[str, float]] = field(default_factory=list)
     budget: int = 0
     spent: int = 0
     pool_size: int = 0
@@ -133,34 +134,6 @@ class SearchResult:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _schedule(first: int, eta: int) -> list[int]:
-    """Tranche widths for successive halving starting at ``first``."""
-    widths = [first]
-    while widths[-1] > 1:
-        widths.append(max(1, widths[-1] // eta))
-    return widths
-
-
-def halving_widths(budget: int, eta: int, pool: int, refine: bool) -> list[int]:
-    """Admission-tranche widths fitting the measured budget.
-
-    When ``refine`` is on, a quarter of the budget (at least one
-    evaluation) is held back for local refinement; halving gets the
-    rest. The first tranche is the largest ``w <= min(pool, ceiling)``
-    whose geometric schedule ``[w, w//eta, ..., 1]`` fits the ceiling,
-    so small budgets degrade gracefully to a single one-wide rung.
-    """
-    ceiling = budget
-    if refine:
-        ceiling = max(1, budget - max(1, budget // 4))
-    ceiling = min(ceiling, pool)
-    for first in range(ceiling, 0, -1):
-        widths = _schedule(first, eta)
-        if sum(widths) <= max(ceiling, 1):
-            return widths
-    return [1]
-
-
 def promote(
     candidates: Sequence[int],
     scores: Mapping[int, Optional[float]],
@@ -170,7 +143,7 @@ def promote(
 
     Unscored / failed candidates (``None``) rank as 0.0 — below any
     successful measurement, but still deterministically ordered by pool
-    index so an all-failed rung has a stable survivor.
+    index so an all-failed rung has a stable winner.
     """
     def key(i: int) -> tuple[float, int]:
         s = scores.get(i)
@@ -184,9 +157,7 @@ def multifidelity_search(
     axes: Mapping[str, Sequence[object]],
     *,
     seed: TuningParameters | None = None,
-    budget: int = 32,
-    eta: int = 2,
-    refine: bool = True,
+    budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
     backend: str | None = None,
     journal: SweepJournal | str | Path | None = None,
@@ -194,26 +165,21 @@ def multifidelity_search(
     resume_or_start: bool = False,
     max_worker_restarts: int = 2,
 ) -> SearchResult:
-    """Model-guided successive halving over ``axes``.
+    """Rank the pool on the model, measure its top ``budget``, keep the best.
 
     ``axes`` maps :class:`TuningParameters` fields to candidate values;
     the pool is the cartesian product grounded on ``seed`` (defaults to
     ``TuningParameters()``), in row-major grid order, invalid
     combinations skipped. ``budget`` caps *measured* evaluations only —
-    model scores are free. ``eta`` is the halving rate (keep
-    ``ceil(n/eta)`` survivors per rung); ``refine=False`` spends the
-    whole budget on halving.
+    model scores are free.
 
     Scheduling semantics are ``explore()``'s: ``jobs``/``backend``
-    parallelize each rung, ``journal``/``resume`` checkpoint every
-    measured evaluation (restored evaluations count against ``budget``,
-    so a resumed search replays an identical trajectory). The
-    trajectory is backend- and parallelism-independent by construction.
+    parallelize the measured batch, ``journal``/``resume`` checkpoint
+    every measured evaluation. The trajectory is backend-,
+    parallelism- and resume-independent by construction.
     """
     if budget < 1:
         raise SweepError(f"budget must be >= 1, got {budget}")
-    if eta < 2:
-        raise SweepError(f"eta must be >= 2, got {eta}")
     if not axes:
         raise SweepError("search needs at least one axis")
 
@@ -240,22 +206,7 @@ def multifidelity_search(
     )
 
     keys = [p.describe() for p in pool]
-    events.emit(
-        "search_started",
-        pool=len(pool),
-        grid=len(sweep),
-        budget=budget,
-        eta=eta,
-        refine=refine,
-    )
-
-    # -- rung 0: the model tier scores the whole pool (free) ------------------
-    model_scores: dict[int, Optional[float]] = {
-        i: scorer.score(p) for i, p in enumerate(pool)
-    }
-    metrics.count("search.model_scores", len(pool))
-    scoreable = [i for i in range(len(pool)) if model_scores[i] is not None]
-    ranking = promote(scoreable, model_scores, len(scoreable))
+    events.emit("search_started", pool=len(pool), grid=len(sweep), budget=budget)
     rungs: list[SearchRung] = []
 
     def record(tier: str, candidates: list[int], scores, survivors, spent):
@@ -268,7 +219,6 @@ def multifidelity_search(
             spent=spent,
         )
         rungs.append(rung)
-        metrics.count("search.rungs")
         events.emit(
             "search_rung",
             index=rung.index,
@@ -278,8 +228,14 @@ def multifidelity_search(
             spent=spent,
             fingerprint=rung.fingerprint(),
         )
-        return rung
 
+    # -- rung 0: the model tier scores the whole pool (free) ------------------
+    model_scores: dict[int, Optional[float]] = {
+        i: scorer.score(p) for i, p in enumerate(pool)
+    }
+    metrics.count("search.model_scores", len(pool))
+    scoreable = [i for i in range(len(pool)) if model_scores[i] is not None]
+    ranking = promote(scoreable, model_scores, len(scoreable))
     record("model", list(range(len(pool))), model_scores, ranking, 0)
     if not ranking:
         raise SweepError(
@@ -288,128 +244,33 @@ def multifidelity_search(
             f"{scorer.device.short_name!r}"
         )
 
-    # -- measured tier: successive halving over the model ranking -------------
-    evaluations = ResultSet()
-    measured: dict[int, RunResult] = {}
-    spent = 0
+    # -- rung 1: measure the model's top `budget` in one batch ----------------
+    # Points go to the scheduler in pool order, so the journal sequence
+    # (and therefore resume) is deterministic.
+    admitted = sorted(ranking[:budget])
+    results = dict(zip(admitted, scheduler.run([pool[i] for i in admitted])))
+    measured: dict[int, Optional[float]] = {}
+    for i, run in results.items():
+        measured[i] = run.bandwidth_gbs if run.ok else None
+        events.emit(
+            "search_candidate",
+            point=run.fingerprint(),
+            params=keys[i],
+            ok=run.ok,
+            bandwidth_gbs=measured[i],
+        )
+    spent = len(admitted)
+    metrics.count("search.evaluations", spent)
+    measured_ranking = promote(admitted, measured, spent)
+    record("measured", admitted, measured, measured_ranking, spent)
 
-    def measure(indices: Sequence[int]) -> None:
-        """Engine-measure the given pool indices, up to the budget.
-
-        Points go to the scheduler in pool order (sorted indices), so
-        the journal sequence — and therefore resume — is deterministic.
-        """
-        nonlocal spent
-        fresh = [i for i in sorted(indices) if i not in measured]
-        fresh = fresh[: budget - spent]
-        if not fresh:
-            return
-        for i, result in zip(fresh, scheduler.run([pool[i] for i in fresh])):
-            measured[i] = result
-            evaluations.add(result)
-            events.emit(
-                "search_candidate",
-                point=result.fingerprint(),
-                params=keys[i],
-                ok=result.ok,
-                bandwidth_gbs=result.bandwidth_gbs if result.ok else None,
-            )
-        metrics.count("search.evaluations", len(fresh))
-        spent += len(fresh)
-
-    def measured_score(i: int) -> Optional[float]:
-        r = measured.get(i)
-        if r is None or not r.ok:
-            return None
-        return r.bandwidth_gbs
-
-    widths = halving_widths(budget, eta, len(ranking), refine)
-    survivors: list[int] = []
-    admitted = 0
-    for width in widths:
-        tranche = ranking[admitted : admitted + width]
-        admitted += len(tranche)
-        measure(tranche)
-        contenders = sorted(set(survivors) | {i for i in tranche if i in measured})
-        if not contenders:
-            break  # budget exhausted before this rung admitted anything
-        keep = max(1, -(-len(contenders) // eta))  # ceil
-        scores = {i: measured_score(i) for i in contenders}
-        survivors = promote(contenders, scores, keep)
-        record("measured", contenders, scores, survivors, spent)
-        if spent >= budget:
-            break
-
-    if not measured:  # pragma: no cover - budget >= 1 admits one point
-        raise SweepError("budget exhausted before any point was measured")
-
-    # Incumbent: best measured point overall (promotion order already
-    # encodes the tie-break; an all-failed search keeps the first
-    # survivor so the result is still deterministic).
-    ok_indices = [i for i in measured if measured[i].ok]
-    if ok_indices:
-        incumbent = promote(ok_indices, {i: measured_score(i) for i in ok_indices}, 1)[0]
-    else:
-        incumbent = survivors[0] if survivors else sorted(measured)[0]
-    best = measured[incumbent]
-    trajectory: list[tuple[str, float]] = [
-        (keys[incumbent], best.bandwidth_gbs if best.ok else 0.0)
-    ]
-
-    # -- refinement tier: ±1 axis steps around the incumbent ------------------
-    index_of: dict[TuningParameters, int] = {}
-    for i, p in enumerate(pool):
-        index_of.setdefault(p, i)
-
-    while refine and spent < budget and best.ok:
-        current = pool[incumbent]
-        neighbours: list[int] = []
-        for axis, values in axes.items():
-            values = list(values)
-            try:
-                at = values.index(getattr(current, axis))
-            except ValueError:  # pragma: no cover - pool points come from axes
-                continue
-            for step in (at - 1, at + 1):
-                if not 0 <= step < len(values):
-                    continue
-                try:
-                    candidate = current.with_(**{axis: values[step]})
-                except SweepError:
-                    continue  # invalid combination: not a legal move
-                j = index_of.get(candidate)
-                if j is None or j in measured or model_scores.get(j) is None:
-                    continue
-                if j not in neighbours:
-                    neighbours.append(j)
-        neighbours.sort()
-        fresh = [j for j in neighbours if j not in measured][: budget - spent]
-        if not fresh:
-            break
-        measure(fresh)
-        contenders = sorted({incumbent, *[j for j in fresh if j in measured]})
-        scores = {i: measured_score(i) for i in contenders}
-        winner = promote(contenders, scores, 1)[0]
-        record("refine", contenders, scores, [winner], spent)
-        winner_score = measured_score(winner)
-        best_score = measured_score(incumbent)
-        if (
-            winner != incumbent
-            and winner_score is not None
-            and (best_score is None or winner_score > best_score)
-        ):
-            incumbent = winner
-            best = measured[incumbent]
-            trajectory.append((keys[incumbent], best.bandwidth_gbs))
-            metrics.count("search.refine_moves")
-        else:
-            break
-
+    # An all-failed batch still has a deterministic winner: failures rank
+    # as 0.0, so the earliest pool point comes first.
+    winner = measured_ranking[0]
     result = SearchResult(
-        best=best,
-        evaluations=evaluations,
+        best=results[winner],
+        evaluations=ResultSet(results.values()),
         rungs=rungs,
-        trajectory=trajectory,
         budget=budget,
         spent=spent,
         pool_size=len(pool),
@@ -418,8 +279,8 @@ def multifidelity_search(
     )
     events.emit(
         "search_finished",
-        best=keys[incumbent],
-        bandwidth_gbs=best.bandwidth_gbs if best.ok else None,
+        best=keys[winner],
+        bandwidth_gbs=measured[winner],
         spent=spent,
         pool=len(pool),
         rungs=len(rungs),

@@ -150,10 +150,9 @@ def search_scenarios(
 ) -> list[dict]:
     """The pinned (target, axes, budget) search scenarios.
 
-    One scenario per target over the small halving grid the scheduler
-    and chaos suites also use — large enough for a model rung, two
-    measured rungs, and a refinement step; small enough to run in
-    seconds.
+    One scenario per target over the small grid the scheduler suite
+    also uses — large enough that the model ranking decides which of
+    its points get measured; small enough to run in seconds.
     """
     from ..core.params import LoopManagement
 
@@ -168,7 +167,6 @@ def search_scenarios(
             "axes": axes,
             "array_bytes": array_bytes,
             "budget": 6,
-            "eta": 2,
         }
         for target in targets
     ]
@@ -186,7 +184,6 @@ def _scenario_key(scenario: dict) -> str:
             "axes": axes_doc,
             "array_bytes": scenario["array_bytes"],
             "budget": scenario["budget"],
-            "eta": scenario["eta"],
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -222,7 +219,6 @@ def compute_search_corpus(
             scenario["axes"],
             seed=seed,
             budget=scenario["budget"],
-            eta=scenario["eta"],
         )
         axes_desc = ",".join(
             f"{name}[{len(values)}]" for name, values in scenario["axes"].items()
@@ -230,7 +226,7 @@ def compute_search_corpus(
         entries[_scenario_key(scenario)] = {
             "target": target,
             "params": f"{axes_desc} budget={scenario['budget']} "
-            f"eta={scenario['eta']} {scenario['array_bytes']}B",
+            f"{scenario['array_bytes']}B",
             "budget": scenario["budget"],
             "pool": out.pool_size,
             "spent": out.spent,

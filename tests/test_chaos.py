@@ -24,7 +24,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from chaos import (  # noqa: E402
-    run_autotune_chaos,
     run_chaos,
     run_search_chaos,
     run_uninterrupted,
@@ -97,21 +96,11 @@ class TestGracefulShutdown:
         assert out.resumed == baseline
 
 
-class TestAutotuneChaos:
-    @pytest.mark.slow
-    def test_autotune_kill9_replays_identical_trajectory(self):
-        out = run_autotune_chaos(backend="process", jobs=2)
-        assert out.ok, out.describe()
-        assert out.interrupted and out.returncode == -9
-        assert out.restored > 0
-        assert out.resumed == out.baseline
-
-
 class TestSearchChaos:
     @pytest.mark.slow
     def test_search_kill9_replays_identical_trajectory(self):
-        """A multi-fidelity search killed mid-rung resumes to the same
-        rung fingerprints, trajectory hash, and winning point."""
+        """An ``mp-stream autotune`` search killed mid-batch resumes to
+        the same rung fingerprints, trajectory hash, and winning point."""
         out = run_search_chaos(backend="process", jobs=2)
         assert out.ok, out.describe()
         assert out.interrupted and out.returncode == -9

@@ -206,8 +206,6 @@ class TestExtendedCommands:
                 "cpu",
                 "--size",
                 "64KiB",
-                "--strategy",
-                "multifidelity",
                 "--budget",
                 "6",
                 "--ntimes",
@@ -217,15 +215,43 @@ class TestExtendedCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "best:" in out
-        # the multi-fidelity report leads with pool accounting and the
+        # the search report leads with pool accounting and the
         # trajectory hash, then one line per rung
         assert "pool points" in out and "trajectory" in out
-        assert "rung 0 [model]" in out
+        assert "rung 0 [model]" in out and "rung 1 [measured]" in out
+
+    def test_autotune_default_budget(self, capsys):
+        # the default axes give a 35-point pool; the search's own
+        # default budget measures 6 of it
+        code = main(
+            ["autotune", "--target", "aocl", "--size", "64KiB", "--ntimes", "1"]
+        )
+        assert code == 0
+        assert "evaluated 6/35" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "knob",
+        [["--strategy", "multifidelity"], ["--eta", "2"], ["--no-refine"]],
+    )
+    def test_autotune_search_knobs_are_gone(self, knob, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["autotune", "--target", "cpu", "--size", "64KiB", *knob])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_autotune_host_streams_points_at_sweep(self, capsys):
+        code = main(
+            ["autotune", "--target", "cpu", "--size", "64KiB",
+             "--host-streams"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot be model-scored" in err
+        assert "mp-stream sweep --host-streams" in err
 
     def test_autotune_rejects_zero_budget(self, capsys):
         code = main(
-            ["autotune", "--target", "cpu", "--size", "64KiB",
-             "--strategy", "multifidelity", "--budget", "0"]
+            ["autotune", "--target", "cpu", "--size", "64KiB", "--budget", "0"]
         )
         assert code == 2
         assert "budget must be >= 1" in capsys.readouterr().err

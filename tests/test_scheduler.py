@@ -24,7 +24,6 @@ from repro.core import (
     ParameterSweep,
     SweepJournal,
     TuningParameters,
-    autotune,
     explore,
     make_executor,
 )
@@ -380,57 +379,11 @@ class TestProcessExecutor:
         assert make_executor("process", jobs=2).jobs == 2
 
 
-class TestAutotuneThroughScheduler:
-    AXES = {
-        "loop": list(LoopManagement),
-        "vector_width": [1, 2, 4, 8],
-        "unroll": [1, 2],
-    }
-
-    def _seed(self) -> TuningParameters:
-        return TuningParameters(array_bytes=128 * KIB)
-
-    def test_parallel_scan_keeps_serial_trajectory(self):
-        serial = autotune(
-            BenchmarkRunner("aocl", ntimes=1), self.AXES,
-            seed=self._seed(), budget=20,
-        )
-        auto = autotune(  # jobs > 1 picks the process pool
-            BenchmarkRunner("aocl", ntimes=1), self.AXES,
-            seed=self._seed(), budget=20, jobs=3,
-        )
-        process = autotune(
-            BenchmarkRunner("aocl", ntimes=1), self.AXES,
-            seed=self._seed(), budget=20, jobs=2, backend="process",
-        )
-        assert serial.trajectory == auto.trajectory == process.trajectory
-        assert serial.best.fingerprint() == auto.best.fingerprint()
-        assert serial.best.fingerprint() == process.best.fingerprint()
-        assert serial.evaluations_used == auto.evaluations_used
-        assert serial.evaluations_used == process.evaluations_used
-
-    def test_journal_resume_replays_trajectory(self, tmp_path):
-        journal_path = tmp_path / "tune.jsonl"
-        first = autotune(
-            BenchmarkRunner("aocl", ntimes=1), self.AXES,
-            seed=self._seed(), budget=20, journal=journal_path,
-        )
-        journal = SweepJournal(journal_path)
-        resumed = autotune(
-            BenchmarkRunner("aocl", ntimes=1), self.AXES,
-            seed=self._seed(), budget=20, journal=journal, resume=True,
-        )
-        assert journal.reused == first.evaluations_used
-        assert journal.executed == 0  # nothing re-ran
-        assert resumed.trajectory == first.trajectory
-        assert resumed.best.fingerprint() == first.best.fingerprint()
-        assert resumed.evaluations_used == first.evaluations_used
-
-
 class TestSearchThroughScheduler:
-    """Multi-fidelity search as a scheduler client: every rung is a
-    scheduler batch, so its trajectory must be bit-identical whichever
-    backend measured it, under injected faults, and across resume."""
+    """Model-guided search as a scheduler client: its measured tier is
+    one scheduler batch, so its trajectory must be bit-identical
+    whichever backend measured it, under injected faults, and across
+    resume."""
 
     AXES = {
         "loop": list(LoopManagement),
@@ -453,10 +406,14 @@ class TestSearchThroughScheduler:
         process = self._search(
             BenchmarkRunner("aocl", ntimes=1), jobs=2, backend="process"
         )
-        assert serial.trajectory_fingerprint() == process.trajectory_fingerprint()
-        assert serial.rung_fingerprints() == process.rung_fingerprints()
-        assert serial.best.fingerprint() == process.best.fingerprint()
-        assert serial.spent == process.spent
+        auto = self._search(  # jobs > 1 picks the process pool
+            BenchmarkRunner("aocl", ntimes=1), jobs=3
+        )
+        for other in (process, auto):
+            assert serial.trajectory_fingerprint() == other.trajectory_fingerprint()
+            assert serial.rung_fingerprints() == other.rung_fingerprints()
+            assert serial.best.fingerprint() == other.best.fingerprint()
+            assert serial.spent == other.spent
 
     def test_trajectory_identical_under_injected_faults(self):
         """Crash-killed workers and transient compile faults requeue/

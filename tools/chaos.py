@@ -23,6 +23,9 @@ end-to-end proof against a **real operating-system process**:
      ``journal_write`` fault tears a journal append partway through a
      record and hard-exits (exit code 5), the worst-case crash a
      power loss can produce;
+   - ``--mode search``: SIGKILL an ``mp-stream autotune`` search instead
+     of a sweep, and compare search trajectories rather than result
+     sets;
 
 3. check that no process of the interrupted campaign outlives it —
    pool workers must notice their parent's death and exit within
@@ -82,11 +85,9 @@ __all__ = [
     "find_torn_seed",
     "journal_records",
     "main",
-    "run_autotune_chaos",
     "run_chaos",
     "run_search_chaos",
     "run_uninterrupted",
-    "search_child_argv",
     "strip_journal_faults",
 ]
 
@@ -532,7 +533,7 @@ def autotune_child_argv(
     axes: dict | None = None,
     backend: str = "process",
     jobs: int = 2,
-    budget: int = 20,
+    budget: int = 8,
 ) -> list[str]:
     """The ``mp-stream autotune`` command line the chaos subprocess runs."""
     argv = [
@@ -561,142 +562,6 @@ def autotune_child_argv(
     return argv
 
 
-def run_autotune_chaos(
-    *,
-    backend: str = "process",
-    jobs: int = 2,
-    target: str = DEFAULT_TARGET,
-    size: str = DEFAULT_SIZE,
-    ntimes: int = DEFAULT_NTIMES,
-    axes: dict | None = None,
-    budget: int = 20,
-    kill_at: int = DEFAULT_KILL_AT,
-    timeout: float = 120.0,
-    workdir: str | Path | None = None,
-) -> ChaosOutcome:
-    """Kill a real ``mp-stream autotune`` run mid-trajectory, then resume.
-
-    The invariant is the tuner's: a resumed coordinate descent replays
-    restored evaluations from the journal and walks the *identical*
-    improvement trajectory the uninterrupted tuner walks.
-    """
-    from repro.core import autotune, optimal_loop_for
-
-    axes = axes or DEFAULT_AXES
-
-    def run_tuner(journal: SweepJournal | None) -> list[str]:
-        seed = TuningParameters(
-            array_bytes=parse_size(size), loop=optimal_loop_for(target)
-        )
-        out = autotune(
-            BenchmarkRunner(target, ntimes=ntimes),
-            axes,
-            seed=seed,
-            budget=budget,
-            backend=backend,
-            jobs=jobs,
-            journal=journal,
-            resume=journal is not None,
-        )
-        return [f"{desc} -> {bw:.9g}" for desc, bw in out.trajectory]
-
-    import tempfile
-
-    tmp = None
-    if workdir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="mp-stream-chaos-")
-        workdir = tmp.name
-    journal = Path(workdir) / f"chaos-autotune-{backend}.jsonl"
-
-    try:
-        baseline = run_tuner(None)
-        argv = autotune_child_argv(
-            journal,
-            target=target,
-            size=size,
-            ntimes=ntimes,
-            axes=axes,
-            backend=backend,
-            jobs=jobs,
-            budget=budget,
-        )
-        returncode, interrupted, records_at = _run_child(
-            argv, journal, mode="kill", kill_at=kill_at, timeout=timeout
-        )
-
-        notes: list[str] = []
-        if not interrupted:
-            notes.append(
-                f"tuner was never interrupted (returncode {returncode})"
-            )
-        elif returncode != -signal.SIGKILL:
-            notes.append(f"tuner exited {returncode}, expected -SIGKILL")
-        _note_orphans(journal, notes)
-
-        report = None
-        resumed: list[str] = []
-        restored = 0
-        if journal.exists():
-            report = fsck_journal(journal)
-            if report.corrupt or report.stale:
-                notes.append(
-                    f"crash left {report.corrupt} corrupt / {report.stale} "
-                    "stale record(s)"
-                )
-            resume_journal = SweepJournal(journal)
-            resumed = run_tuner(resume_journal)
-            restored = resume_journal.reused
-            if restored == 0:
-                notes.append("resume restored nothing from the journal")
-            if resumed != baseline:
-                notes.append(
-                    "resumed trajectory differs from the uninterrupted run"
-                )
-        else:
-            notes.append(f"tuner never created the journal {journal}")
-
-        return ChaosOutcome(
-            mode="autotune-kill",
-            backend=backend,
-            interrupted=interrupted,
-            returncode=returncode,
-            records_at_interrupt=records_at,
-            restored=restored,
-            fsck=report,
-            baseline=baseline,
-            resumed=resumed,
-            notes=notes,
-        )
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-
-
-def search_child_argv(
-    journal: str | Path,
-    *,
-    target: str = DEFAULT_TARGET,
-    size: str = DEFAULT_SIZE,
-    ntimes: int = DEFAULT_NTIMES,
-    axes: dict | None = None,
-    backend: str = "process",
-    jobs: int = 2,
-    budget: int = 8,
-) -> list[str]:
-    """``mp-stream autotune --strategy multifidelity`` for the chaos child."""
-    argv = autotune_child_argv(
-        journal,
-        target=target,
-        size=size,
-        ntimes=ntimes,
-        axes=axes,
-        backend=backend,
-        jobs=jobs,
-        budget=budget,
-    )
-    return argv + ["--strategy", "multifidelity"]
-
-
 def run_search_chaos(
     *,
     backend: str = "process",
@@ -710,12 +575,13 @@ def run_search_chaos(
     timeout: float = 120.0,
     workdir: str | Path | None = None,
 ) -> ChaosOutcome:
-    """Kill a multi-fidelity search mid-rung, then resume from the journal.
+    """Kill a real ``mp-stream autotune`` search mid-batch, then resume.
 
-    The searcher's invariant: restored evaluations count against the
-    budget, so the resumed search walks the identical rung-by-rung
-    trajectory — pinned here as the list of rung fingerprints plus the
-    overall trajectory hash and winning point.
+    The searcher's invariant: the model ranking alone fixes the measured
+    set and restored evaluations count against the budget, so the
+    resumed search walks the identical trajectory — pinned here as the
+    list of rung fingerprints plus the overall trajectory hash and
+    winning point.
     """
     from repro.core import multifidelity_search
 
@@ -748,7 +614,7 @@ def run_search_chaos(
 
     try:
         baseline = run_search(None)
-        argv = search_child_argv(
+        argv = autotune_child_argv(
             journal,
             target=target,
             size=size,
@@ -816,7 +682,7 @@ def main(argv: list[str] | None = None) -> int:
         description="kill a real campaign mid-sweep and verify lossless resume"
     )
     parser.add_argument("--mode",
-                        choices=("kill", "term", "torn", "autotune", "search"),
+                        choices=("kill", "term", "torn", "search"),
                         default="kill")
     parser.add_argument("--backend", default="serial", choices=BACKENDS)
     parser.add_argument("--jobs", type=int, default=2)
@@ -833,17 +699,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     jobs = args.jobs if args.backend != "serial" else 1
-    if args.mode == "autotune":
-        outcome = run_autotune_chaos(
-            backend=args.backend,
-            jobs=jobs,
-            target=args.target,
-            size=args.size,
-            ntimes=args.ntimes,
-            kill_at=args.kill_at,
-            timeout=args.timeout,
-        )
-    elif args.mode == "search":
+    if args.mode == "search":
         outcome = run_search_chaos(
             backend=args.backend,
             jobs=jobs,
