@@ -8,7 +8,10 @@ build → modelled seconds, with **no arrays allocated and no kernel
 executed**. On the staged engine's shared :class:`BuildCache` the
 front-end and plan stages are content-addressed, so scoring a pool of
 ``N`` candidates costs ``N`` cache-keyed builds and ``N`` closed-form
-timing evaluations — microseconds per point, not milliseconds.
+timing evaluations. That is about 0.44 ms per point on a 2-core VM
+(the campaign benchmark's ``search_small``: 1.9 s for 4,320 scores),
+not microseconds: a front-end compile per distinct kernel (live
+campaigns share them), a device build and the model's timing.
 
 Cache discipline matters: the scorer routes builds through the engine's
 own :class:`BuildCache` with *exactly* the engine's error wrapping

@@ -44,9 +44,11 @@ CACHE_COUNTERS = ("frontend_hits", "frontend_misses", "plan_hits", "plan_misses"
 class BuildCache:
     """Content-addressed build artifacts for one campaign.
 
-    Front-end results are keyed by ``(source, effective defines)`` and
-    additionally funnel through the process-wide
-    :func:`repro.oclc.compile_source_cached` memo; device plans are
+    Front-end results are keyed by ``(source, effective defines)``. The
+    cache holds every program it returned, and so keeps it in the weak
+    process-wide :func:`repro.oclc.compile_source_cached` memo, where
+    every other live cache finds it: a miss here compiles only if no
+    live caller holds the program. Device plans are
     stored via each :class:`~repro.devices.base.DeviceModel`'s
     plan-cache hook (so independent campaigns against the same device
     still share plans). Build *failures* are cached too — a sweep

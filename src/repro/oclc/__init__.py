@@ -12,13 +12,14 @@ Typical pipeline::
 campaigns use: it keys on the source text plus the *effective* defines
 (the subset that can actually influence the compile), so thousands of
 points that differ only in, say, an unreferenced ``N`` share one
-front-end pass.
+front-end pass, and campaigns alive at the same time share each
+program. The memo holds programs weakly: it frees what no caller holds.
 """
 
 from __future__ import annotations
 
 import re
-import threading
+import weakref
 from typing import Mapping
 
 from .analysis import KernelIR, LoopMode, MemAccess, analyze, classify_stride, index_stream
@@ -39,8 +40,6 @@ __all__ = [
     "compile_source_cached",
     "effective_defines",
     "frontend_key",
-    "frontend_cache_stats",
-    "clear_frontend_cache",
     "analyze",
     "specialize",
     "vectorize_kernel",
@@ -77,10 +76,12 @@ def compile_source(
 _DIRECTIVE_RE = re.compile(r"^[ \t]*#", re.MULTILINE)
 _WORD_RE = re.compile(r"[A-Za-z_]\w*")
 
-_FRONTEND_CACHE_MAX = 1024
-_frontend_cache: dict[tuple, CheckedProgram] = {}
-_frontend_lock = threading.Lock()
-_frontend_stats = {"hits": 0, "misses": 0}
+# Weak values: the memo indexes the programs that callers still hold (every
+# BuildCache holds each program it returned) and forgets the rest, so it
+# needs no size bound and no eviction order.
+_frontend_cache: "weakref.WeakValueDictionary[tuple, CheckedProgram]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 def effective_defines(
@@ -117,35 +118,16 @@ def compile_source_cached(
 ) -> CheckedProgram:
     """Memoized :func:`compile_source`, keyed by :func:`frontend_key`.
 
-    Thread-safe; the process-wide memo is bounded (oldest entries are
-    evicted first). ``CheckedProgram`` artifacts are immutable after
-    checking, so sharing one instance across callers — and across sweep
-    worker threads — is safe.
+    The process-wide memo holds its programs weakly. While any caller
+    holds a program — each campaign's :class:`~repro.ocl.program.
+    BuildCache` holds every program it returned — every other caller
+    with the same key gets that instance, so the per-target engines of
+    one search compile each kernel once. A direct caller keeps a program
+    only while it holds it. ``CheckedProgram`` artifacts are immutable
+    after checking, so sharing one instance between callers is safe.
     """
     key = frontend_key(source, defines)
-    with _frontend_lock:
-        cached = _frontend_cache.get(key)
-        if cached is not None:
-            _frontend_stats["hits"] += 1
-            return cached
-        _frontend_stats["misses"] += 1
-    checked = compile_source(source, defines)
-    with _frontend_lock:
-        _frontend_cache[key] = checked
-        while len(_frontend_cache) > _FRONTEND_CACHE_MAX:
-            _frontend_cache.pop(next(iter(_frontend_cache)))
+    checked = _frontend_cache.get(key)
+    if checked is None:
+        checked = _frontend_cache[key] = compile_source(source, defines)
     return checked
-
-
-def frontend_cache_stats() -> dict[str, int]:
-    """Process-wide memo counters: hits, misses, current size."""
-    with _frontend_lock:
-        return {**_frontend_stats, "size": len(_frontend_cache)}
-
-
-def clear_frontend_cache() -> None:
-    """Empty the memo and zero its counters (test isolation helper)."""
-    with _frontend_lock:
-        _frontend_cache.clear()
-        _frontend_stats["hits"] = 0
-        _frontend_stats["misses"] = 0

@@ -50,6 +50,7 @@ __all__ = [
     "to_source",
     "ASSIGN_OPS",
     "BINARY_OPS",
+    "BINARY_PRECEDENCE",
     "UNARY_OPS",
 ]
 
@@ -69,6 +70,9 @@ BINARY_OPS = (
     ("+", "-"),
     ("*", "/", "%"),
 )
+
+#: Each binary operator's precedence level: its index in ``BINARY_OPS``.
+BINARY_PRECEDENCE = {op: level for level, ops in enumerate(BINARY_OPS) for op in ops}
 
 UNARY_OPS = ("-", "+", "!", "~")
 
@@ -378,12 +382,6 @@ def _param_src(p: Param) -> str:
     return f"{space}{quals}{p.type_name}{star}{p.name}"
 
 
-_PRECEDENCE: dict[str, int] = {}
-for _level, _ops in enumerate(BINARY_OPS):
-    for _op in _ops:
-        _PRECEDENCE[_op] = _level
-
-
 def _expr_src(expr: Expr, parent_prec: int = -1) -> str:
     if isinstance(expr, IntLiteral):
         return f"{expr.value}{expr.suffix}"
@@ -393,7 +391,7 @@ def _expr_src(expr: Expr, parent_prec: int = -1) -> str:
     if isinstance(expr, Ident):
         return expr.name
     if isinstance(expr, Binary):
-        prec = _PRECEDENCE[expr.op]
+        prec = BINARY_PRECEDENCE[expr.op]
         src = (
             f"{_expr_src(expr.left, prec)} {expr.op} "
             f"{_expr_src(expr.right, prec + 1)}"

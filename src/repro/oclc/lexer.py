@@ -14,8 +14,9 @@ form the generated kernels use.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from ..errors import LexError
 
@@ -99,12 +100,7 @@ PUNCTUATION = (
 )
 
 
-_DIGITS = frozenset("0123456789")
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | _DIGITS
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     """One lexical token.
 
@@ -126,30 +122,35 @@ class Token:
         return self.kind == "keyword" and self.text == text
 
 
+# ``/*`` alone (no closing ``*/``) is the unterminated-comment case
+_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/|/\*", re.DOTALL)
+
+# One token per match, after optional whitespace. Character classes are
+# ASCII-only, as in C: unicode "letters" and "digits" (e.g. superscripts)
+# fall through to ``bad`` and are invalid characters.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\f\v]*(?:"
+    r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<number>(?P<literal>0[xX][0-9a-fA-F]*"
+    r"|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)(?P<suffix>[uUlLfF]*))"
+    r"|(?P<punct>" + "|".join(re.escape(p) for p in PUNCTUATION) + r")"
+    r"|(?P<bad>[^ \t\r\f\v]))"
+)
+
+
 def _strip_comments(source: str) -> str:
     """Replace comments with spaces, preserving line structure."""
-    out: list[str] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch == "/" and i + 1 < n and source[i + 1] == "*":
-            end = source.find("*/", i + 2)
-            if end < 0:
-                line = source.count("\n", 0, i) + 1
-                raise LexError("unterminated block comment", line=line)
-            out.append(
-                "".join("\n" if c == "\n" else " " for c in source[i : end + 2])
-            )
-            i = end + 2
-            continue
-        else:
-            out.append(ch)
-            i += 1
-            continue
-    return "".join(out)
+
+    def blank(m: re.Match) -> str:
+        comment = m.group()
+        if comment[1] == "/":
+            return ""
+        if comment == "/*":
+            line = source.count("\n", 0, m.start()) + 1
+            raise LexError("unterminated block comment", line=line)
+        return "\n".join(" " * len(part) for part in comment.split("\n"))
+
+    return _COMMENT_RE.sub(blank, source)
 
 
 def _preprocess(source: str, defines: dict[str, str]) -> list[tuple[int, str]]:
@@ -218,19 +219,25 @@ def _preprocess(source: str, defines: dict[str, str]) -> list[tuple[int, str]]:
     return lines
 
 
-def _expand(text: str, defines: Mapping[str, str]) -> str:
-    """Token-ish textual macro expansion, iterated to a fixed point."""
+def _expander(defines: Mapping[str, str]) -> Callable[[str], str]:
+    """Token-ish textual macro expansion over ``defines``, iterated to a
+    fixed point; the macro pattern is compiled once per define set."""
     if not defines:
-        return text
-    import re
-
+        return lambda text: text
     pattern = re.compile(r"\b(" + "|".join(re.escape(k) for k in defines) + r")\b")
-    for _ in range(16):
-        new = pattern.sub(lambda m: str(defines[m.group(1)]), text)
-        if new == text:
-            return new
-        text = new
-    raise LexError(f"macro expansion did not converge in {text!r}")
+
+    def substitute(m: re.Match) -> str:
+        return str(defines[m.group(1)])
+
+    def expand(text: str) -> str:
+        for _ in range(16):
+            new = pattern.sub(substitute, text)
+            if new == text:
+                return new
+            text = new
+        raise LexError(f"macro expansion did not converge in {text!r}")
+
+    return expand
 
 
 def tokenize(source: str, defines: Mapping[str, str] | None = None) -> list[Token]:
@@ -240,96 +247,59 @@ def tokenize(source: str, defines: Mapping[str, str] | None = None) -> list[Toke
     options); ``#define`` lines in the source add to it.
     """
     macro_table: dict[str, str] = dict(defines or {})
-    stripped = _strip_comments(source)
-    lines = _preprocess(stripped, macro_table)
+    lines = _preprocess(_strip_comments(source), macro_table)
+    expand = _expander(macro_table)
 
     tokens: list[Token] = []
     for lineno, text in lines:
         if text.lstrip().startswith("#pragma"):
-            body = text.lstrip()[len("#pragma") :].strip()
-            body = _expand(body, macro_table)
+            body = expand(text.lstrip()[len("#pragma") :].strip())
             tokens.append(Token("pragma", text.strip(), lineno, 1, value=body))
             continue
-        text = _expand(text, macro_table)
-        tokens.extend(_tokenize_line(text, lineno))
+        tokens.extend(_tokenize_line(expand(text), lineno))
     tokens.append(Token("eof", "", lines[-1][0] if lines else 1, 1))
     return tokens
 
 
 def _tokenize_line(text: str, lineno: int) -> Iterator[Token]:
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\f\v":
-            i += 1
-            continue
-        col = i + 1
-        # ASCII-only identifier/number rules, as in C: unicode "letters"
-        # and "digits" (e.g. superscripts) are invalid characters
-        if ch in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            yield Token(kind, word, lineno, col)
-            i = j
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            tok, i = _lex_number(text, i, lineno, col)
-            yield tok
-            continue
-        for punct in PUNCTUATION:
-            if text.startswith(punct, i):
-                yield Token("punct", punct, lineno, col)
-                i += len(punct)
-                break
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        col = m.start(kind) + 1
+        if kind == "word":
+            word = m.group(kind)
+            yield Token("keyword" if word in KEYWORDS else "ident", word, lineno, col)
+        elif kind == "punct":
+            yield Token("punct", m.group(kind), lineno, col)
+        elif kind == "number":
+            yield _lex_number(m, lineno, col)
         else:
-            raise LexError(f"invalid character {ch!r}", line=lineno, col=col)
+            raise LexError(f"invalid character {m.group(kind)!r}", line=lineno, col=col)
 
 
-def _lex_number(text: str, i: int, lineno: int, col: int) -> tuple[Token, int]:
-    n = len(text)
-    start = i
-    is_float = False
-    if text.startswith(("0x", "0X"), i):
-        i += 2
-        while i < n and (text[i] in "0123456789abcdefABCDEF"):
-            i += 1
-    else:
-        while i < n and text[i] in _DIGITS:
-            i += 1
-        if i < n and text[i] == ".":
-            is_float = True
-            i += 1
-            while i < n and text[i] in _DIGITS:
-                i += 1
-        if i < n and text[i] in "eE":
-            peek = i + 1
-            if peek < n and text[peek] in "+-":
-                peek += 1
-            if peek < n and text[peek] in _DIGITS:
-                is_float = True
-                i = peek
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-    suffix_start = i
-    while i < n and text[i] in "uUlLfF":
-        i += 1
-    suffix = text[suffix_start:i].lower()
-    literal = text[start:suffix_start]
-    if i < n and (text[i].isalnum() or text[i] == "_"):
+def _lex_number(m: re.Match, lineno: int, col: int) -> Token:
+    text, end = m.string, m.end()
+    literal, suffix = m.group("literal", "suffix")
+    suffix = suffix.lower()
+    if end < len(text) and (text[end].isalnum() or text[end] == "_"):
         raise LexError(
-            f"invalid character {text[i]!r} in numeric literal", line=lineno, col=col
+            f"invalid character {text[end]!r} in numeric literal", line=lineno, col=col
         )
-    if is_float or suffix == "f":
+    is_hex = literal[:2] in ("0x", "0X")
+    if not is_hex and ("." in literal or "e" in literal or "E" in literal or suffix == "f"):
         if suffix not in ("", "f"):
             raise LexError(
                 f"bad float suffix {suffix!r} on {literal}", line=lineno, col=col
             )
-        return Token("float", text[start:i], lineno, col, value=float(literal)), i
+        return Token("float", m.group("number"), lineno, col, value=float(literal))
     if suffix not in ("", "u", "l", "ul", "lu", "ll", "ull"):
         raise LexError(
             f"bad integer suffix {suffix!r} on {literal}", line=lineno, col=col
         )
-    return Token("int", text[start:i], lineno, col, value=int(literal, 0)), i
+    # Python's int(literal, 0) would reject both with a bare ValueError
+    if is_hex and len(literal) == 2:
+        raise LexError(f"hex literal {literal} has no digits", line=lineno, col=col)
+    if not is_hex and len(literal) > 1 and literal[0] == "0":
+        raise LexError(
+            f"octal literals are not supported: {literal}", line=lineno, col=col
+        )
+    return Token("int", m.group("number"), lineno, col, value=int(literal, 0))

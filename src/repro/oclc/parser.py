@@ -388,16 +388,17 @@ class Parser:
             return cast.Conditional(cond, then, other, line=line)
         return cond
 
-    def _binary(self, level: int) -> cast.Expr:
-        if level >= len(cast.BINARY_OPS):
-            return self._unary()
-        ops = cast.BINARY_OPS[level]
-        left = self._binary(level + 1)
-        while self._tok.kind == "punct" and self._tok.text in ops:
-            tok = self._advance()
+    def _binary(self, min_level: int) -> cast.Expr:
+        """Precedence climbing: operators at ``min_level`` or tighter."""
+        left = self._unary()
+        while True:
+            tok = self._tok
+            level = cast.BINARY_PRECEDENCE.get(tok.text, -1) if tok.kind == "punct" else -1
+            if level < min_level:
+                return left
+            self._advance()
             right = self._binary(level + 1)
             left = cast.Binary(tok.text, left, right, line=tok.line)
-        return left
 
     def _unary(self) -> cast.Expr:
         tok = self._tok

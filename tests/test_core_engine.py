@@ -15,8 +15,11 @@ Covers the engine's contract:
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from repro import oclc
 from repro.core import (
     BenchmarkRunner,
     BuildCache,
@@ -198,6 +201,52 @@ class TestFrontendSharing:
     def test_sources_with_directives_keep_all_defines(self):
         source = "#ifdef FAST\n#endif\n__kernel void k(__global int *a) { a[0] = 1; }\n"
         assert ("FAST", "1") in effective_defines(source, {"FAST": 1})
+
+
+def _tiny_kernels(name: str, count: int = 1100) -> list[str]:
+    return [
+        f"__kernel void {name}(__global int *a) {{ a[0] = {i}; }}\n"
+        for i in range(count)
+    ]
+
+
+class TestFrontendMemo:
+    """The process-wide memo behind every :class:`BuildCache`."""
+
+    def test_live_cache_shares_programs_with_a_second_cache(self, monkeypatch):
+        """Two campaigns scan more kernels than any fixed bound, in the
+        same order: while the first lives, the second compiles none."""
+        compiled = []
+        compile_source = oclc.compile_source
+
+        def counting(source, defines=None):
+            compiled.append(source)
+            return compile_source(source, defines)
+
+        monkeypatch.setattr(oclc, "compile_source", counting)
+        sources = _tiny_kernels("memo_share")
+        first, second = BuildCache(), BuildCache()
+        for source in sources:
+            first.frontend(source, None)
+        assert len(compiled) == len(sources)
+        compiled.clear()
+        for source in sources:
+            _, hit = second.frontend(source, None)
+            assert not hit  # each campaign still counts its own misses
+        assert compiled == []
+        assert second.stats()["frontend_misses"] == len(sources)
+
+    def test_memo_releases_programs_nobody_holds(self):
+        sources = _tiny_kernels("memo_release")
+        keys = [frontend_key(source, None) for source in sources]
+        first, second = BuildCache(), BuildCache()
+        for source in sources:
+            first.frontend(source, None)
+            second.frontend(source, None)
+        assert all(key in oclc._frontend_cache for key in keys)
+        del first, second
+        gc.collect()
+        assert not any(key in oclc._frontend_cache for key in keys)
 
 
 class TestFailureCaching:

@@ -99,7 +99,7 @@ _TOKENS = [
     "__kernel", "void", "int", "double", "for", "if", "else", "return",
     "(", ")", "{", "}", "[", "]", ";", ",", "+", "-", "*", "/", "=", "<",
     ">", "a", "b", "i", "0", "1", "42", "1.5", "get_global_id",
-    "__global", "const", "#pragma unroll", "++", "&&",
+    "__global", "const", "#pragma unroll", "++", "&&", "010", "08", "0x",
 ]
 
 

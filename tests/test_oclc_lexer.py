@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.core import (
+    AccessPattern,
+    DataType,
+    KernelName,
+    LoopManagement,
+    ParameterSweep,
+    TuningParameters,
+    generate,
+)
 from repro.errors import LexError
+from repro.oclc import parse, to_source
 from repro.oclc.lexer import tokenize
+from repro.units import KIB
 
 
 def kinds(tokens):
@@ -54,6 +67,96 @@ class TestBasicTokens:
     def test_bad_suffix(self):
         with pytest.raises(LexError):
             tokenize("1.5x")
+
+
+def lex_error(source, **kw) -> LexError:
+    with pytest.raises(LexError) as err:
+        tokenize(source, **kw)
+    return err.value
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize(
+        "source, col",
+        [("é", 1), ("a٠", 2), ("x = ²;", 5)],
+        ids=["accented-letter", "arabic-digit", "superscript"],
+    )
+    def test_non_ascii_letters_and_digits_are_invalid(self, source, col):
+        err = lex_error(source)
+        assert (err.line, err.col) == (1, col)
+        assert "invalid character" in str(err)
+
+    def test_error_column_after_leading_whitespace(self):
+        err = lex_error("a\n \t  @")
+        assert (err.line, err.col) == (2, 5)
+        assert str(err) == "2:5: invalid character '@'"
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("1e", "1:1: invalid character 'e' in numeric literal"),
+            ("x = 1.5u;", "1:5: bad float suffix 'u' on 1.5"),
+            ("0xg", "1:1: invalid character 'g' in numeric literal"),
+        ],
+    )
+    def test_malformed_number_messages(self, source, message):
+        assert str(lex_error(source)) == message
+
+    def test_comment_opener_sharing_its_slash_is_unterminated(self):
+        assert str(lex_error("a\n/*/ b")) == "2:0: unterminated block comment"
+
+    def test_line_comment_at_eof_without_newline(self):
+        assert texts(tokenize("a //")) == ["a"]
+        assert texts(tokenize("a // trailing /* not a block")) == ["a"]
+
+    def test_ellipsis_against_leading_dot_float(self):
+        toks = tokenize("... .5 ..5")
+        assert [(t.kind, t.text) for t in toks[:-1]] == [
+            ("punct", "..."),
+            ("float", ".5"),
+            ("punct", "."),
+            ("float", ".5"),
+        ]
+
+    def test_form_feed_and_vertical_tab_are_whitespace(self):
+        assert texts(tokenize("a\fb\vc")) == ["a", "b", "c"]
+        toks = tokenize("x = V;", defines={"V": "1\f+\v2"})
+        assert [(t.text, t.col) for t in toks[:-1]] == [
+            ("x", 1), ("=", 3), ("1", 5), ("+", 7), ("2", 9), (";", 10)
+        ]
+
+
+class TestIntegerLiterals:
+    @pytest.mark.parametrize(
+        "source, kind, value",
+        [("0", "int", 0), ("0.5", "float", 0.5), ("0e1", "float", 0.0),
+         ("0u", "int", 0), ("0x1F", "int", 31)],
+    )
+    def test_zero_led_literals_that_lex(self, source, kind, value):
+        (tok, _eof) = tokenize(source)
+        assert (tok.kind, tok.text, tok.value) == (kind, source, value)
+
+    @pytest.mark.parametrize("literal", ["010", "08", "00", "017u"])
+    def test_octal_literals_rejected(self, literal):
+        err = lex_error(f"a[0] = {literal};")
+        assert str(err) == (
+            f"1:8: octal literals are not supported: {literal.rstrip('u')}"
+        )
+
+    @pytest.mark.parametrize("source", ["0x", "0X;", "0xu"])
+    def test_hex_prefix_without_digits_rejected(self, source):
+        err = lex_error(f"  {source}")
+        assert (err.line, err.col) == (1, 3)
+        assert "has no digits" in str(err)
+
+    def test_program_build_raises_build_error(self, cpu_device):
+        from repro.errors import BuildError
+        from repro.ocl import Context, Program
+
+        src = "__kernel void k(__global int *a) { a[0] = 010; }"
+        with pytest.raises(BuildError) as err:
+            Program(Context(cpu_device), src).build()
+        assert "octal literals are not supported" in str(err.value)
 
 
 class TestComments:
@@ -137,3 +240,71 @@ class TestPreprocessor:
         toks = tokenize("")
         assert toks[-1].kind == "eof"
         assert len(toks) == 1
+
+
+# ---------------------------------------------------------------------------
+# front-end pin: every token and every re-printed AST of the generated
+# kernels that campaigns compile, hashed
+# ---------------------------------------------------------------------------
+
+#: the search pool (the same sources for every target) at 64 KiB
+SEARCH_POOL_AXES = {
+    "kernel": list(KernelName),
+    "loop": list(LoopManagement),
+    "vector_width": [1, 2, 4, 8, 16],
+    "unroll": [1, 2, 4, 8],
+    "dtype": list(DataType),
+    "pattern": list(AccessPattern),
+}
+#: the AOCL design-space sweep at 512 KiB
+AOCL_GRID_AXES = {
+    "kernel": list(KernelName),
+    "loop": list(LoopManagement),
+    "vector_width": [1, 2, 4, 8, 16],
+    "unroll": [1, 2, 4, 8],
+    "dtype": list(DataType),
+}
+
+
+def _front_end_digests(axes, array_bytes):
+    """(sources, sha256 of every token, sha256 of every ``to_source``)."""
+    grid = ParameterSweep(base=TuningParameters(array_bytes=array_bytes), axes=axes)
+    tokens, printed = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    for params in grid.points():
+        gen = generate(params)
+        defines = {k: str(v) for k, v in gen.defines.items()}
+        for t in tokenize(gen.source, defines):
+            tokens.update(repr((t.kind, t.text, t.line, t.col, t.value)).encode())
+        printed.update(to_source(parse(gen.source, defines)).encode() + b"\0")
+        count += 1
+    return count, tokens.hexdigest(), printed.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "axes, array_bytes, want",
+    [
+        pytest.param(
+            SEARCH_POOL_AXES,
+            64 * KIB,
+            (
+                1080,
+                "75e593dc22224f92814b5598e36e46669451aea99c8fa3208b458969f42aecde",
+                "5ad41bbc49c9eba500f1ef5e6966132a7e7e2d96cd617e098fdc336719717c19",
+            ),
+            id="search-pool-64KiB",
+        ),
+        pytest.param(
+            AOCL_GRID_AXES,
+            512 * KIB,
+            (
+                540,
+                "29c62ea0b70250e4ab54a21a8baac9658300d06cfdd72ffcea58de5cceac3cda",
+                "b4ca7536455645c2154bd4fee85cfca2ff3401bb11f3f382d321daf1223ba62f",
+            ),
+            id="aocl-grid-512KiB",
+        ),
+    ],
+)
+def test_front_end_pinned_on_campaign_grids(axes, array_bytes, want):
+    assert _front_end_digests(axes, array_bytes) == want
