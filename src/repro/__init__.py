@@ -14,7 +14,8 @@ heterogeneous OpenCL stack:
 * :mod:`repro.devices` — calibrated performance models of the paper's
   four targets (Xeon CPU, Titan Black GPU, Stratix V via AOCL,
   Virtex-7 via SDAccel);
-* :mod:`repro.memsim` — cache / DRAM / coalescing / PCIe building blocks;
+* :mod:`repro.memsim` — closed-form cache / DRAM / controller / PCIe
+  building blocks;
 * :mod:`repro.figures` — one function per paper figure;
 * :mod:`repro.hoststream` — a real numpy STREAM for the local machine.
 """

@@ -171,10 +171,9 @@ class CpuModel(DeviceModel):
 
         stride = abs(p.stride_bytes) if p.stride_bytes else line
         accesses_per_line = max(1, line // max(1, min(stride, line)))
-        effective_llc = spec.llc.capacity_bytes * (1.0 - 1.0 / (2 * spec.llc.ways))
         reuse_fits = (
             p.reuse_window_bytes is not None
-            and p.reuse_window_bytes <= effective_llc
+            and p.reuse_window_bytes <= spec.llc.effective_bytes
         )
         if stride >= line:
             # column-walk revisits: a line holds line/element elements, so

@@ -161,9 +161,9 @@ class GpuModel(DeviceModel):
         # strided / irregular: one segment per access
         line = spec.l2.line_bytes
         revisits = max(1, (abs(p.stride_bytes) if p.stride_bytes else line) // p.element_bytes)
-        effective_l2 = spec.l2.capacity_bytes * (1.0 - 1.0 / (2 * spec.l2.ways))
         reuse_fits = (
-            p.reuse_window_bytes is not None and p.reuse_window_bytes <= effective_l2
+            p.reuse_window_bytes is not None
+            and p.reuse_window_bytes <= spec.l2.effective_bytes
         )
         if reuse_fits:
             miss_fraction = 1.0 / min(revisits, line // p.element_bytes)

@@ -1,52 +1,26 @@
-"""Memory-system simulation substrate.
+"""Memory-system building blocks the device models compose.
 
-Building blocks the device models compose:
+Every piece here is computed in closed form; nothing simulates an
+address trace on a production path:
 
-* :mod:`repro.memsim.access` — vectorized address-stream generators;
-* :mod:`repro.memsim.cache` — exact set-associative LRU simulation plus
-  the analytic streaming-hit-ratio formulas the models use at scale
-  (validated against the exact simulator in the test suite);
-* :mod:`repro.memsim.coalesce` — grouping element accesses into memory
-  transactions (GPU warp coalescing, FPGA burst inference);
-* :mod:`repro.memsim.dram` — DRAM channel/bank/row-buffer timing;
+* :mod:`repro.memsim.cache` — cache-level geometry and its effective
+  (conflict-free) capacity;
+* :mod:`repro.memsim.dram` — DRAM channel/bank/row-buffer efficiency,
+  plus :func:`simulate_dram`, the trace-driven reference the tests
+  check :func:`row_locality_efficiency` against;
 * :mod:`repro.memsim.controller` — multi-stream arbitration/contention;
 * :mod:`repro.memsim.pcie` — the host↔device interconnect.
 """
 
 from __future__ import annotations
 
-from .access import (
-    contiguous_stream,
-    strided_stream,
-    column_major_stream,
-    to_byte_addresses,
-)
-from .cache import BATCH_THRESHOLD, Cache, CacheConfig, streaming_hit_ratio
-from .coalesce import (
-    CoalesceResult,
-    coalesce_fixed_groups,
-    coalesce_fixed_groups_batch,
-    coalesce_sequential,
-    coalesce_sequential_batch,
-)
+from .cache import CacheConfig
 from .controller import MemoryController, StreamDemand
 from .dram import DramSpec, DramTiming, simulate_dram, row_locality_efficiency
 from .pcie import PcieLink
 
 __all__ = [
-    "contiguous_stream",
-    "strided_stream",
-    "column_major_stream",
-    "to_byte_addresses",
-    "BATCH_THRESHOLD",
-    "Cache",
     "CacheConfig",
-    "streaming_hit_ratio",
-    "CoalesceResult",
-    "coalesce_fixed_groups",
-    "coalesce_fixed_groups_batch",
-    "coalesce_sequential",
-    "coalesce_sequential_batch",
     "MemoryController",
     "StreamDemand",
     "DramSpec",

@@ -2,11 +2,11 @@
 
 A DSE campaign's health is scattered across layers — the engine counts
 points and stage seconds, the :class:`~repro.ocl.program.BuildCache`
-counts hits and misses, the memory simulators count bytes, rows and
-cache lines, the queue counts commands. The registry gives all of them
-one sink with stable, dot-separated metric names
+counts hits and misses, the DRAM controller counts requests and bytes,
+the queue counts commands. The registry gives all of them one sink
+with stable, dot-separated metric names
 (``engine.points``, ``build_cache.frontend_hits``,
-``memsim.dram.bytes``, ``queue.h2d_bytes``, the verification
+``memsim.dram.demand_bytes``, ``queue.h2d_bytes``, the verification
 stage's ``verify.points`` / ``verify.mismatches``, the crash-consistent
 journal's ``journal.records`` / ``journal.rotations`` /
 ``journal.dropped_records``, and the

@@ -1,20 +1,14 @@
-"""Fast-lane microbenchmarks: time the hot paths, pin the speedups.
+"""Microbenchmarks: time the hot paths, pin the speedups.
 
-Each benchmark times a *fast lane* against its retained *scalar oracle*
-on identical inputs — the same pairs the differential equivalence
-suites (`tests/test_fastpath_equivalence.py`,
-`tests/test_vectorize_equivalence.py`) prove bit-for-bit identical —
-and reports median/IQR wall times plus the speedup ratio. The ratio is
-the machine-portable number CI gates on; absolute throughput is only
-compared between identical machines (see :mod:`repro.perf.report`).
+``exec`` times the fast lane against its retained *scalar oracle* on
+identical inputs — the pair `tests/test_vectorize_equivalence.py`
+proves bit-for-bit identical — and reports median/IQR wall times plus
+the speedup ratio. The ratio is the machine-portable number CI gates
+on; absolute throughput is only compared between identical machines
+(see :mod:`repro.perf.report`).
 
 Benchmarks:
 
-* ``cache_sim`` — exact set-associative LRU simulation of a two-pass
-  unit-stride STREAM walk: scalar per-access loop vs
-  :meth:`~repro.memsim.cache.Cache.access_batch`.
-* ``coalesce`` — warp coalescing + burst inference over thousands of
-  warp-sized windows: per-window calls vs the ``*_batch`` stack forms.
 * ``exec`` — the two kernel-execution drivers on a generated triad
   kernel: the work-item :class:`~repro.oclc.interp.KernelInterpreter`
   vs the whole-NDRange :class:`~repro.oclc.vectorize.VectorKernel`.
@@ -42,14 +36,6 @@ from ..core.generator import generate
 from ..core.kernels import KERNELS, SCALAR_Q, initial_arrays
 from ..core.params import DataType, KernelName
 from ..errors import InvalidValueError
-from ..memsim import (
-    Cache,
-    CacheConfig,
-    coalesce_fixed_groups,
-    coalesce_fixed_groups_batch,
-    coalesce_sequential,
-    coalesce_sequential_batch,
-)
 from ..obs import trace as obs_trace
 from ..oclc import compile_source_cached, vectorize_kernel
 from ..oclc.interp import BufferArg, KernelInterpreter
@@ -110,59 +96,6 @@ def _paired(
         "scalar_s": scalar_stats,
         "speedup": scalar_stats["min_s"] / fast_stats["min_s"],
     }
-
-
-# -- cache simulation ---------------------------------------------------------
-
-
-def bench_cache_sim(quick: bool) -> dict[str, object]:
-    n = 120_000 if quick else 240_000
-    passes = 2
-    cfg = CacheConfig(capacity_bytes=64 * 1024, line_bytes=64, ways=8)
-    # the paper's core pattern: a unit-stride multi-pass STREAM walk
-    # over 4-byte (float) words
-    trace = np.tile(np.arange(n // passes, dtype=np.int64) * 4, passes)
-
-    entry = _paired(
-        lambda: Cache(cfg).access_scalar(trace),
-        lambda: Cache(cfg).access_batch(trace),
-        scalar_repeats=3 if quick else 5,
-        fast_repeats=5 if quick else 9,
-    )
-    entry["throughput"] = {
-        "value": trace.size / entry["wall_s"]["median_s"],
-        "unit": "accesses/s",
-    }
-    entry["detail"] = {"accesses": int(trace.size), "num_sets": cfg.num_sets}
-    return entry
-
-
-# -- coalescing ----------------------------------------------------------------
-
-
-def bench_coalesce(quick: bool) -> dict[str, object]:
-    rows, n = (1024 if quick else 4096), 32
-    rng = np.random.default_rng(1234)
-    stack = np.asarray(rng.integers(0, 1 << 20, (rows, n)) * 4, dtype=np.int64)
-
-    def scalar() -> None:
-        for row in stack:
-            coalesce_fixed_groups(row, 4)
-            coalesce_sequential(row, 4)
-
-    def fast() -> None:
-        coalesce_fixed_groups_batch(stack, 4)
-        coalesce_sequential_batch(stack, 4)
-
-    entry = _paired(
-        scalar, fast, scalar_repeats=3 if quick else 5, fast_repeats=5 if quick else 9
-    )
-    entry["throughput"] = {
-        "value": rows / entry["wall_s"]["median_s"],
-        "unit": "windows/s",
-    }
-    entry["detail"] = {"windows": rows, "window_accesses": n}
-    return entry
 
 
 # -- kernel execution ----------------------------------------------------------
@@ -387,7 +320,7 @@ def bench_obs_overhead(quick: bool) -> dict[str, object]:
 
     The whole obs contract rests on probes being ~free when no sink is
     installed (one module-global load, then return) — every engine
-    stage, cache lookup and memsim access pays this even on campaigns
+    stage, cache lookup and memory-model query pays this even on campaigns
     that never pass ``--trace``/``--metrics``. This pins that cost so
     a refactor cannot silently put, say, string formatting or object
     construction on the disabled path; :data:`repro.perf.report.MAX_PROBE_NS`
@@ -437,8 +370,6 @@ def bench_obs_overhead(quick: bool) -> dict[str, object]:
 
 
 BENCHMARKS: dict[str, Callable[[bool], dict[str, object]]] = {
-    "cache_sim": bench_cache_sim,
-    "coalesce": bench_coalesce,
     "exec": bench_exec,
     "engine_stages": bench_engine_stages,
     "sweep_throughput": bench_sweep_throughput,

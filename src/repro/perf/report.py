@@ -45,7 +45,6 @@ BENCH_SCHEMA = 1
 #: hard speedup floors (fast lane vs scalar oracle); a report whose
 #: ratio drops below these fails compare() regardless of the baseline
 MIN_SPEEDUP: dict[str, float] = {
-    "cache_sim": 5.0,
     # the array lane must beat its oracle, the work-item interpreter,
     # by 50x at a few thousand words, or a second execution driver is
     # not paying for its complexity

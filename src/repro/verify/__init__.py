@@ -11,9 +11,8 @@ The rest of this package asks "how fast"; this subsystem asks "is it
   size) must also agree with *each other*.
 - :mod:`~repro.verify.metamorphic` — executable invariants over the
   performance models ("bandwidth ignores array contents", "contiguous
-  beats strided", "bytes scale linearly", "hit rate falls with
-  stride"), each violation naming the pair of grid points that broke
-  the law.
+  beats strided", "bytes scale linearly"), each violation naming the
+  pair of grid points that broke the law.
 - :mod:`~repro.verify.golden` — a checked-in regression corpus of
   result fingerprints and kernel-output checksums, with a diff-style
   drift report and an explicit ``--update-golden`` re-pin flow.

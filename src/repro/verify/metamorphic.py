@@ -3,12 +3,11 @@
 Pillar 2 of the verification subsystem. Individual bandwidth numbers
 from a simulated device cannot be checked against silicon, but the
 *relations between* numbers can be checked against physics: these are
-executable property checks over the memsim layer and the full engine
-path, in the spirit of Zohouri & Matsuoka's trend validation of
-memory-interface models. Each law compares pairs of grid points and,
-on breach, emits a structured :class:`Violation` naming exactly which
-pair broke it — a metamorphic failure is a modelling bug report, not a
-stack trace.
+executable property checks over the full engine path, in the spirit
+of Zohouri & Matsuoka's trend validation of memory-interface models.
+Each law compares pairs of grid points and, on breach, emits a
+structured :class:`Violation` naming exactly which pair broke it — a
+metamorphic failure is a modelling bug report, not a stack trace.
 
 Laws:
 
@@ -24,11 +23,6 @@ Laws:
 ``bytes_linear``
     Bytes moved must scale exactly linearly with array size at a fixed
     configuration.
-``service_time_stride`` / ``hit_rate_stride``
-    The analytic hierarchy's service time is monotone non-decreasing,
-    and the cache hit rate monotone non-*increasing*, in stride.
-``hit_rate_passes``
-    Re-walking the same footprint can only raise the hit rate.
 """
 
 from __future__ import annotations
@@ -43,8 +37,6 @@ from ..core.kernels import KERNELS, SCALAR_Q, initial_arrays
 from ..core.params import AccessPattern, KernelName, TuningParameters
 from ..core.runner import BenchmarkRunner, optimal_loop_for
 from ..devices.base import BuildOptions
-from ..memsim import CacheConfig, streaming_hit_ratio
-from ..memsim.hierarchy import Hierarchy, Level
 from ..ocl import CommandQueue, Context, Program
 from ..ocl.platform import find_device
 from ..oclc import compile_source_cached
@@ -56,9 +48,6 @@ __all__ = [
     "check_content_invariance",
     "check_contiguous_vs_strided",
     "check_bytes_linear",
-    "check_service_time_stride",
-    "check_hit_rate_stride",
-    "check_hit_rate_passes",
     "check_all",
 ]
 
@@ -295,149 +284,12 @@ def check_bytes_linear(
     )
 
 
-# -- analytic memsim laws ----------------------------------------------------
-
-
-def _canonical_hierarchy() -> Hierarchy:
-    """A two-level geometry representative of the modelled devices."""
-    return Hierarchy(
-        [
-            Level("L1", CacheConfig(32 * 1024, 64, 8), bandwidth=1e12, latency=1e-9),
-            Level("L2", CacheConfig(512 * 1024, 64, 8), bandwidth=4e11, latency=5e-9),
-        ],
-        memory_bandwidth=5e10,
-    )
-
-
-def check_service_time_stride(
-    *,
-    footprint_bytes: int = 1 << 20,
-    element_bytes: int = 8,
-    strides: Sequence[int] = (8, 16, 32, 64, 128, 256, 512),
-) -> LawReport:
-    """Hierarchy service time is monotone non-decreasing in stride."""
-    hierarchy = _canonical_hierarchy()
-    times = [
-        hierarchy.streaming_service_time(
-            footprint_bytes=footprint_bytes,
-            stride_bytes=stride,
-            element_bytes=element_bytes,
-        )
-        for stride in strides
-    ]
-    violations = []
-    for (s1, t1), (s2, t2) in zip(
-        zip(strides, times), zip(strides[1:], times[1:])
-    ):
-        if t2 < t1 * (1 - 1e-12):
-            violations.append(
-                Violation(
-                    law="service_time_stride",
-                    left=f"stride={s1}B over {footprint_bytes}B",
-                    right=f"stride={s2}B over {footprint_bytes}B",
-                    left_value=t1,
-                    right_value=t2,
-                    detail="larger stride finished faster",
-                )
-            )
-    return LawReport(
-        law="service_time_stride",
-        checked=len(strides) - 1,
-        violations=tuple(violations),
-    )
-
-
-def check_hit_rate_stride(
-    *,
-    footprint_bytes: int = 256 * 1024,
-    element_bytes: int = 8,
-    strides: Sequence[int] = (8, 16, 32, 64, 128, 256, 512),
-    config: CacheConfig | None = None,
-) -> LawReport:
-    """Cache hit rate is monotone non-increasing in stride."""
-    config = config or CacheConfig(32 * 1024, 64, 8)
-    rates = [
-        streaming_hit_ratio(
-            footprint_bytes=footprint_bytes,
-            stride_bytes=stride,
-            element_bytes=element_bytes,
-            config=config,
-        )
-        for stride in strides
-    ]
-    violations = []
-    for (s1, r1), (s2, r2) in zip(
-        zip(strides, rates), zip(strides[1:], rates[1:])
-    ):
-        if r2 > r1 + 1e-12:
-            violations.append(
-                Violation(
-                    law="hit_rate_stride",
-                    left=f"stride={s1}B over {footprint_bytes}B",
-                    right=f"stride={s2}B over {footprint_bytes}B",
-                    left_value=r1,
-                    right_value=r2,
-                    detail="larger stride hit more often",
-                )
-            )
-    return LawReport(
-        law="hit_rate_stride", checked=len(strides) - 1, violations=tuple(violations)
-    )
-
-
-def check_hit_rate_passes(
-    *,
-    footprints: Sequence[int] = (16 * 1024, 1 << 20),
-    strides: Sequence[int] = (8, 64),
-    element_bytes: int = 8,
-    config: CacheConfig | None = None,
-) -> LawReport:
-    """Walking the footprint again can only raise the hit rate."""
-    config = config or CacheConfig(32 * 1024, 64, 8)
-    violations = []
-    checked = 0
-    for footprint in footprints:
-        for stride in strides:
-            one = streaming_hit_ratio(
-                footprint_bytes=footprint,
-                stride_bytes=stride,
-                element_bytes=element_bytes,
-                config=config,
-                passes=1,
-            )
-            two = streaming_hit_ratio(
-                footprint_bytes=footprint,
-                stride_bytes=stride,
-                element_bytes=element_bytes,
-                config=config,
-                passes=2,
-            )
-            checked += 1
-            if two < one - 1e-12:
-                violations.append(
-                    Violation(
-                        law="hit_rate_passes",
-                        left=f"passes=1 stride={stride}B over {footprint}B",
-                        right=f"passes=2 stride={stride}B over {footprint}B",
-                        left_value=one,
-                        right_value=two,
-                        detail="a second pass lowered the hit rate",
-                    )
-                )
-    return LawReport(
-        law="hit_rate_passes", checked=checked, violations=tuple(violations)
-    )
-
-
 def check_all(*, quick: bool = False) -> list[LawReport]:
-    """Run every law; ``quick`` restricts the engine-backed ones."""
+    """Run every law; ``quick`` restricts each to fewer targets."""
     engine_targets = ("cpu",) if quick else ALL_TARGETS
     content_targets = ("cpu",) if quick else ("cpu", "gpu")
     return [
         check_content_invariance(content_targets),
         check_contiguous_vs_strided(engine_targets),
         check_bytes_linear(("cpu",) if quick else ("cpu", "aocl")),
-        check_service_time_stride(),
-        check_hit_rate_stride(),
-        check_hit_rate_passes(),
     ]

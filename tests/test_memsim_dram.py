@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidValueError
-from repro.memsim.access import contiguous_stream, strided_stream, to_byte_addresses
 from repro.memsim.controller import MemoryController, StreamDemand
 from repro.memsim.dram import DramSpec, row_locality_efficiency, simulate_dram
 from repro.memsim.pcie import PcieLink
@@ -17,6 +16,18 @@ SPEC = DramSpec(
     name="test-ddr",
     channels=2,
     banks_per_channel=8,
+    row_bytes=2048,
+    peak_bandwidth=25.6e9,
+    t_row_miss=30e-9,
+    t_row_hit=6e-9,
+)
+
+#: one channel of two banks: too few banks to hide activates, so small
+#: transactions are command-bound
+NARROW = DramSpec(
+    name="narrow",
+    channels=1,
+    banks_per_channel=2,
     row_bytes=2048,
     peak_bandwidth=25.6e9,
     t_row_miss=30e-9,
@@ -46,20 +57,11 @@ class TestSimulateDram:
 
     def test_random_rows_limited_parallelism_is_command_bound(self):
         # with few banks, random rows cannot hide activations
-        narrow = DramSpec(
-            name="narrow",
-            channels=1,
-            banks_per_channel=2,
-            row_bytes=2048,
-            peak_bandwidth=25.6e9,
-            t_row_miss=30e-9,
-            t_row_hit=6e-9,
-        )
         rng = np.random.default_rng(7)
         addrs = rng.integers(0, 2**30, 4096) * 64
-        t = simulate_dram(narrow, addrs, 64)
+        t = simulate_dram(NARROW, addrs, 64)
         assert t.command_seconds >= t.data_seconds
-        assert t.achieved_bandwidth < 0.5 * narrow.peak_bandwidth
+        assert t.achieved_bandwidth < 0.5 * NARROW.peak_bandwidth
 
     def test_min_transaction_granularity(self):
         addrs = np.arange(0, 64 * 100, 64, dtype=np.int64)
@@ -78,18 +80,28 @@ class TestSimulateDram:
 
 
 class TestAnalyticEfficiency:
-    def test_matches_simulation_for_uniform_stream(self):
-        tx = 512
+    @pytest.mark.parametrize(
+        "spec, tx",
+        [
+            # data-bound: both sides read 1.0, whatever the command terms
+            (SPEC, 512),
+            # command-bound: both read 0.7407, so the row-hit/row-miss
+            # weighting and the bank parallelism both move the answer
+            (NARROW, 64),
+        ],
+        ids=["data", "command"],
+    )
+    def test_matches_simulation_for_uniform_stream(self, spec, tx):
         addrs = np.arange(0, tx * 2048, tx, dtype=np.int64)
-        sim = simulate_dram(SPEC, addrs, tx)
+        sim = simulate_dram(spec, addrs, tx)
         model = row_locality_efficiency(
-            SPEC,
+            spec,
             tx,
             row_hit_ratio=sim.row_hit_ratio,
-            parallelism=SPEC.banks_per_channel * SPEC.channels,
+            parallelism=spec.banks_per_channel * spec.channels,
         )
         assert model == pytest.approx(
-            sim.achieved_bandwidth / SPEC.peak_bandwidth, rel=0.15
+            sim.achieved_bandwidth / spec.peak_bandwidth, rel=0.15
         )
 
     def test_efficiency_bounds(self):
@@ -211,7 +223,7 @@ class TestPcie:
 )
 def test_dram_time_components_consistent(n, stride):
     """Property: total = max(data, command); hits+misses = transactions."""
-    addrs = to_byte_addresses(strided_stream(n, stride // 4), 4)
+    addrs = np.arange(n, dtype=np.int64) * stride
     t = simulate_dram(SPEC, addrs, 64)
     assert t.seconds == pytest.approx(max(t.data_seconds, t.command_seconds))
     assert t.row_hits + t.row_misses == n
@@ -221,7 +233,7 @@ def test_dram_time_components_consistent(n, stride):
 @given(n=st.integers(256, 2048))
 def test_contiguous_never_slower_than_scattered(n):
     # large enough that the sequential stream spreads across banks
-    contig = to_byte_addresses(contiguous_stream(n), 64)
+    contig = np.arange(n, dtype=np.int64) * 64
     rng = np.random.default_rng(n)
     scattered = rng.integers(0, 2**28, n) * 64
     t_c = simulate_dram(SPEC, contig, 64)
