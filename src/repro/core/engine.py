@@ -725,8 +725,8 @@ class ExecutionEngine:
                         validate_solution(
                             params.kernel,
                             params.dtype,
-                            initial,
                             observed,
+                            word_count=params.word_count,
                             touched_words=gen.touched_words,
                         )
                     except ValidationError as exc:

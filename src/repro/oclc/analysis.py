@@ -26,8 +26,9 @@ expression *numerically*, vectorized over the iteration domain, and
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +48,7 @@ __all__ = [
     "MemAccess",
     "KernelIR",
     "analyze",
+    "flatten_domain",
     "index_stream",
     "classify_stride",
 ]
@@ -134,6 +136,12 @@ class KernelIR:
     uses_double: bool = False
     has_control_flow: bool = False
     gid_vars: tuple[str, ...] = ()
+    #: the body's locals as the analyzer resolved them (constants,
+    #: ``get_global_id`` aliases, other defining expressions), so
+    #: :func:`index_stream` evaluates indices without a second walk
+    consts: dict[str, int] = field(default_factory=dict)
+    gid_aliases: dict[str, str] = field(default_factory=dict)
+    expr_aliases: dict[str, cast.Expr] = field(default_factory=dict)
 
     @property
     def reads(self) -> tuple[MemAccess, ...]:
@@ -231,6 +239,9 @@ class _Analyzer:
             uses_double=uses_double,
             has_control_flow=self.has_control_flow,
             gid_vars=gid_vars,
+            consts=self.consts,
+            gid_aliases=self.gid_aliases,
+            expr_aliases=self.expr_aliases,
         )
 
     def _loop_mode(self, gid_vars: tuple[str, ...]) -> LoopMode:
@@ -610,6 +621,45 @@ class _NotAffine(Exception):
 # ---------------------------------------------------------------------------
 
 
+def flatten_domain(
+    domain: Sequence[tuple[str, np.ndarray]], limit: int | None = None
+) -> dict[str, np.ndarray]:
+    """Each domain variable's value at every position of the flat domain.
+
+    ``domain`` lists ``(var, values)`` outermost first; the innermost
+    variable varies fastest. Position ``p`` of a variable whose inner
+    variables span ``inner`` positions holds
+    ``values[(p // inner) % len(values)]``, built here as runs of
+    ``inner`` equal values (``np.repeat``) over whole cycles of
+    ``values`` (``np.tile``), so no position is divided or gathered. A
+    1-D domain is its own ``values``. Only the leading ``limit``
+    positions are built; an empty loop makes the domain empty.
+    """
+    total = math.prod(len(values) for _, values in domain)
+    limit = total if limit is None else max(0, min(total, limit))
+    if not limit:
+        return {var: values[:0] for var, values in reversed(domain)}
+    env: dict[str, np.ndarray] = {}
+    inner = 1
+    for var, values in reversed(domain):
+        runs, part = divmod(limit, inner)
+        if part:  # the window ends inside a run
+            runs += 1
+        cycles, head = divmod(runs, len(values))
+        seq = values if cycles == 1 else np.tile(values, cycles)
+        if head:
+            seq = np.concatenate((seq, values[:head]))
+        if part:
+            counts = np.full(runs, inner)
+            counts[-1] = part
+            seq = np.repeat(seq, counts)
+        elif inner > 1:
+            seq = np.repeat(seq, inner)
+        env[var] = seq
+        inner *= len(values)
+    return env
+
+
 def index_stream(
     ir: KernelIR,
     access: MemAccess,
@@ -622,8 +672,10 @@ def index_stream(
     The domain is the cartesian product of the NDRange (size
     ``global_size``, variable ``gid0``) and the counted loop nest,
     innermost varying fastest — i.e. program order for a single
-    work-item, work-item-major across the range. Evaluation is
-    vectorized; non-affine expressions (``%``, ``/``) are supported.
+    work-item, work-item-major across the range, flattened by
+    :func:`flatten_domain`. Evaluation is vectorized; non-affine
+    expressions (``%``, ``/``) are supported, and the body's locals
+    resolve through the mappings :func:`analyze` left on ``ir``.
 
     ``max_elements`` truncates the stream (leading window) for sampled
     simulation of very large domains.
@@ -637,20 +689,8 @@ def index_stream(
         )
     if not domain:
         domain = [("gid0", np.arange(global_size, dtype=np.int64))]
-
-    sizes = [len(values) for _, values in domain]
-    total = int(np.prod(sizes))
-    limit = total if max_elements is None else min(total, max_elements)
-
-    flat = np.arange(limit, dtype=np.int64)
-    env: dict[str, np.ndarray] = {}
-    rem = flat
-    # innermost (last domain entry) varies fastest
-    for (var, values), _size in zip(reversed(domain), reversed(sizes)):
-        env[var] = values[rem % len(values)]
-        rem = rem // len(values)
-    evaluator = _IndexEval(env, ir)
-    return evaluator.eval(access.index)
+    env = flatten_domain(domain, max_elements)
+    return _IndexEval(env, ir).eval(access.index)
 
 
 class _IndexEval:
@@ -659,11 +699,10 @@ class _IndexEval:
     def __init__(self, env: dict[str, np.ndarray], ir: KernelIR):
         self.env = env
         self.ir = ir
-        helper = _Analyzer(ir.program, ir.func)
-        helper._walk_stmt(ir.func.body, depth=0)
-        self._analyzer_consts = helper.consts
-        self._gid_aliases = helper.gid_aliases
-        self._expr_aliases = dict(helper.expr_aliases)
+        self._analyzer_consts = ir.consts
+        self._gid_aliases = ir.gid_aliases
+        # a copy: eval pops an alias while it expands it (cycle guard)
+        self._expr_aliases = dict(ir.expr_aliases)
 
     def eval(self, expr: cast.Expr) -> np.ndarray:
         if isinstance(expr, cast.IntLiteral):

@@ -35,7 +35,7 @@ import numpy as np
 from ..errors import UnsupportedKernelError
 from ..ocl import types as T
 from . import cast
-from .analysis import KernelIR, LoopMode, analyze
+from .analysis import KernelIR, LoopMode, analyze, flatten_domain
 from .interp import BufferArg
 from .semantic import CheckedProgram
 
@@ -440,7 +440,12 @@ def reduce_sum(init: object, value: object) -> object:
 
 
 def build_domain_env(ir: KernelIR, n_items: int) -> dict[str, object]:
-    """Flatten the iteration domain into per-variable index arrays."""
+    """Per-variable index arrays over the flattened iteration domain.
+
+    The domain is ``gid0`` over ``n_items`` work-items, then the counted
+    loop nest; :func:`~repro.oclc.analysis.flatten_domain` lays it out
+    innermost fastest, so a 1-D domain stays one ``arange``.
+    """
     domain: list[tuple[str, np.ndarray]] = []
     if ir.loop_mode is LoopMode.NDRANGE or ir.gid_vars:
         domain.append(("gid0", np.arange(n_items, dtype=np.int64)))
@@ -454,15 +459,7 @@ def build_domain_env(ir: KernelIR, n_items: int) -> dict[str, object]:
         )
     if not domain:
         domain = [("gid0", np.arange(n_items, dtype=np.int64))]
-
-    sizes = [len(v) for _, v in domain]
-    total = int(np.prod(sizes))
-    env: dict[str, object] = {}
-    rem = np.arange(total, dtype=np.int64)
-    for var, values in reversed(domain):
-        env[var] = values[rem % len(values)]
-        rem = rem // len(values)
-    return env
+    return flatten_domain(domain)  # type: ignore[return-value]
 
 
 def bind_arguments(

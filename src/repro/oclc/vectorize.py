@@ -11,16 +11,20 @@ It also exploits one observation: in an analyzable kernel every
 load/store **index** is a pure function of the iteration domain —
 ``gid0``, counted-loop variables and constants — never of buffer
 contents or scalar arguments. So indices can be evaluated *once per
-launch shape*, bounds-checked once, and lowered to native strided
-slices whenever they are affine in the flattened domain
-(``c[gid] = a[gid]`` becomes ``c_view[0:N:1] = a_view[0:N:1]``, no index
-vector materialized at all). The per-``(n_items, buffer sizes)`` result
-is cached as a launch *plan*; a repeated launch is just the statement
-closures over pre-lowered selections. For a STREAM kernel that leaves
-the handful of vector ops the launch actually performs. A cached plan
-pays when a queue launches the same program again at one shape; a
-benchmark point executes its kernel once and times its other launches
-on the model alone.
+launch shape*, over a domain :func:`~repro.oclc.analysis.flatten_domain`
+builds from repeats and tiles, and lowered to native strided slices
+whenever their stride is constant (``c[gid] = a[gid]`` becomes
+``c_view[0:N:1] = a_view[0:N:1]``). Sites that share one index value
+(a generated kernel indexes ``a``, ``b`` and ``c`` through one ``idx``)
+share its int64 conversion, its lowering and its lowest and highest
+index, so a plan costs a few passes over the domain; each site is still
+bounds-checked against its own buffer. The per-``(n_items, buffer
+sizes)`` result is cached as a launch *plan*; a repeated launch is just
+the statement closures over pre-lowered selections. For a STREAM kernel
+that leaves the handful of vector ops the launch actually performs. A
+cached plan pays when a queue launches the same program again at one
+shape; a benchmark point executes its kernel once and times its other
+launches on the model alone.
 
 Eligibility is conservative and layered on the specializer's safety
 analysis (no data-dependent control flow, no read/write parameter
@@ -154,6 +158,19 @@ def _lower_selection(idx: np.ndarray) -> object:
     if step > 0 and bool(np.all(steps == step)):
         return slice(first, int(idx[-1]) + step, step)
     return idx
+
+
+def _extremes(sel: slice | np.ndarray) -> tuple[int, int]:
+    """Lowest and highest index a lowered selection touches.
+
+    A slice from :func:`_lower_selection` ascends, so its ends are its
+    first and last index; an empty selection touches nothing.
+    """
+    if isinstance(sel, slice):
+        return sel.start, sel.stop - sel.step
+    if sel.size == 0:
+        return 0, -1
+    return int(sel.min()), int(sel.max())
 
 
 def _store_selected(
@@ -337,6 +354,11 @@ class VectorKernel:
             else:
                 value = cast_value(fn(pctx), ty)
             env[name] = value
+        # sites that share an index value (every generated kernel
+        # indexes its arrays through one ``idx`` local) share its
+        # conversion, lowering and extremes; each entry holds the value,
+        # so no id in ``lowered`` can be recycled while it lives
+        lowered: dict[int, tuple[object, object, int, int, int]] = {}
         sel: list[object] = []
         sel_len: list[int] = []
         for site in self._sites:
@@ -347,14 +369,24 @@ class VectorKernel:
                     f"buffer {site.param!r} size {size} not divisible by "
                     f"vector width {width}"
                 )
-            rows = size // width
-            idx = np.asarray(site.index(pctx), dtype=np.int64)
-            if np.any(idx < 0) or np.any(idx >= rows):
+            raw = site.index(pctx)
+            entry = lowered.get(id(raw))
+            if entry is None:
+                idx = np.asarray(raw, dtype=np.int64)
+                lowering = _lower_selection(idx)
+                entry = lowered[id(raw)] = (
+                    raw,
+                    lowering,
+                    int(idx.shape[0]) if idx.ndim == 1 else -1,
+                    *_extremes(lowering),
+                )
+            _, lowering, length, lo, hi = entry
+            if lo < 0 or hi >= size // width:
                 raise UnsupportedKernelError(
                     f"out-of-bounds access to {site.param!r} at line {site.line}"
                 )
-            sel_len.append(int(idx.shape[0]) if idx.ndim == 1 else -1)
-            sel.append(_lower_selection(idx))
+            sel.append(lowering)
+            sel_len.append(length)
         return _Plan(env_base=env, sel=sel, sel_len=sel_len)
 
     # -- launches ----------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import DataType, KernelName
 from repro.core.kernels import KERNELS, SCALAR_Q, initial_arrays, reference
-from repro.core.validate import validate_solution
+from repro.core.validate import EPSILON, validate_solution
 from repro.errors import ValidationError
 
 
@@ -64,43 +64,137 @@ class TestReference:
 
 class TestValidate:
     def test_accepts_exact_match(self):
-        initial = initial_arrays(16, DataType.INT)
-        observed = reference(KernelName.ADD, initial)
-        validate_solution(KernelName.ADD, DataType.INT, initial, observed)
+        observed = reference(KernelName.ADD, initial_arrays(16, DataType.INT))
+        validate_solution(KernelName.ADD, DataType.INT, observed, word_count=16)
 
     def test_rejects_single_wrong_word(self):
-        initial = initial_arrays(16, DataType.INT)
-        observed = reference(KernelName.ADD, initial)
+        observed = reference(KernelName.ADD, initial_arrays(16, DataType.INT))
         observed["c"][7] += 1
         with pytest.raises(ValidationError) as err:
-            validate_solution(KernelName.ADD, DataType.INT, initial, observed)
+            validate_solution(KernelName.ADD, DataType.INT, observed, word_count=16)
         assert "word 7" in str(err.value)
 
     def test_double_epsilon_tolerates_rounding(self):
-        initial = initial_arrays(16, DataType.DOUBLE)
-        observed = reference(KernelName.TRIAD, initial)
+        observed = reference(KernelName.TRIAD, initial_arrays(16, DataType.DOUBLE))
         observed["a"] *= 1.0 + 1e-15  # below epsilon
-        validate_solution(KernelName.TRIAD, DataType.DOUBLE, initial, observed)
+        validate_solution(KernelName.TRIAD, DataType.DOUBLE, observed, word_count=16)
 
     def test_double_epsilon_rejects_drift(self):
-        initial = initial_arrays(16, DataType.DOUBLE)
-        observed = reference(KernelName.TRIAD, initial)
+        observed = reference(KernelName.TRIAD, initial_arrays(16, DataType.DOUBLE))
         observed["a"] *= 1.0 + 1e-6
         with pytest.raises(ValidationError):
-            validate_solution(KernelName.TRIAD, DataType.DOUBLE, initial, observed)
+            validate_solution(
+                KernelName.TRIAD, DataType.DOUBLE, observed, word_count=16
+            )
 
     def test_shape_mismatch(self):
-        initial = initial_arrays(16, DataType.INT)
-        observed = {k: v[:8].copy() for k, v in reference(KernelName.COPY, initial).items()}
+        full = reference(KernelName.COPY, initial_arrays(16, DataType.INT))
+        observed = {k: v[:8].copy() for k, v in full.items()}
         with pytest.raises(ValidationError):
-            validate_solution(KernelName.COPY, DataType.INT, initial, observed)
+            validate_solution(KernelName.COPY, DataType.INT, observed, word_count=16)
 
     def test_partial_region_validation(self):
         initial = initial_arrays(16, DataType.INT)
         observed = reference(KernelName.COPY, initial, touched_words=10)
         validate_solution(
-            KernelName.COPY, DataType.INT, initial, observed, touched_words=10
+            KernelName.COPY, DataType.INT, observed, word_count=16, touched_words=10
         )
         # but claiming full coverage fails: the tail was never written
         with pytest.raises(ValidationError):
-            validate_solution(KernelName.COPY, DataType.INT, initial, observed)
+            validate_solution(KernelName.COPY, DataType.INT, observed, word_count=16)
+
+    @pytest.mark.parametrize("dtype", [DataType.FLOAT, DataType.DOUBLE])
+    @pytest.mark.parametrize(
+        "name, word",
+        [("a", 3), ("c", 5), ("a", 13)],
+        ids=["touched-head", "untouched-input", "untouched-tail"],
+    )
+    def test_nan_is_never_within_tolerance(self, dtype, name, word):
+        # every comparison with NaN is False, so a "beyond tolerance"
+        # test lets it through; TRIAD writes a[:10], reads c, leaves a[10:]
+        observed = reference(
+            KernelName.TRIAD, initial_arrays(16, dtype), touched_words=10
+        )
+        observed[name][word] = np.nan
+        with pytest.raises(ValidationError, match=f"diverges at word {word}: got"):
+            validate_solution(
+                KernelName.TRIAD, dtype, observed, word_count=16, touched_words=10
+            )
+
+
+def _full_array_check(kernel, dtype, observed, words, touched):
+    """The full-array validation the closed form replaced: the message
+    of the first failing array, or None when every word is in tolerance."""
+    expected = reference(kernel, initial_arrays(words, dtype), touched_words=touched)
+    eps = EPSILON[dtype]
+    for name in ("a", "b", "c"):
+        want, got = expected[name], observed[name]
+        if eps == 0.0:
+            bad = np.nonzero(got != want)[0]
+        else:
+            denom = np.maximum(np.abs(want), 1.0)
+            bad = np.nonzero(np.abs(got - want) > eps * denom)[0]
+        if bad.size:
+            i = int(bad[0])
+            return (
+                f"kernel {kernel}: array {name!r} diverges at word {i}: "
+                f"got {got[i]!r}, expected {want[i]!r} "
+                f"({bad.size} of {want.size} words wrong)"
+            )
+    return None
+
+
+_WORDS = 24
+
+_KERNELS = pytest.mark.parametrize(
+    "kernel", list(KernelName), ids=lambda k: k.value
+)
+_REGIONS = pytest.mark.parametrize("touched", [None, 17], ids=["full", "ragged"])
+
+
+def _state(kernel, dtype, touched):
+    return reference(kernel, initial_arrays(_WORDS, dtype), touched_words=touched)
+
+
+def _validate(kernel, dtype, observed, touched):
+    validate_solution(kernel, dtype, observed, word_count=_WORDS, touched_words=touched)
+
+
+@_REGIONS
+@pytest.mark.parametrize("dtype", list(DataType), ids=lambda d: d.value)
+@_KERNELS
+def test_closed_form_accepts_exact_reference_state(kernel, dtype, touched):
+    _validate(kernel, dtype, _state(kernel, dtype, touched), touched)
+
+
+@_REGIONS
+@pytest.mark.parametrize(
+    "dtype", [DataType.FLOAT, DataType.DOUBLE], ids=lambda d: d.value
+)
+@_KERNELS
+def test_closed_form_accepts_drift_below_epsilon(kernel, dtype, touched):
+    observed = _state(kernel, dtype, touched)
+    for arr in observed.values():
+        arr += EPSILON[dtype] / 4 * np.maximum(np.abs(arr), 1.0)
+    assert _full_array_check(kernel, dtype, observed, _WORDS, touched) is None
+    _validate(kernel, dtype, observed, touched)
+
+
+@pytest.mark.parametrize(
+    "touched, word",
+    [(None, 5), (17, 5), (17, _WORDS - 2)],
+    ids=["full-head", "ragged-head", "ragged-tail"],
+)
+@pytest.mark.parametrize("dtype", list(DataType), ids=lambda d: d.value)
+@_KERNELS
+def test_closed_form_rejects_one_wrong_word_as_before(kernel, dtype, touched, word):
+    for name in ("a", "b", "c"):
+        observed = _state(kernel, dtype, touched)
+        observed[name][word] += 7
+        want = _full_array_check(kernel, dtype, observed, _WORDS, touched)
+        assert want is not None
+        assert f"array {name!r} diverges at word {word}:" in want
+        assert want.endswith(f"(1 of {_WORDS} words wrong)")
+        with pytest.raises(ValidationError) as err:
+            _validate(kernel, dtype, observed, touched)
+        assert str(err.value) == want

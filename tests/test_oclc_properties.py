@@ -137,3 +137,42 @@ def test_index_streams_cover_every_touched_element(params):
         n_touched = gen.touched_words // params.vector_width
         assert len(stream) == n_touched
         assert sorted(stream.tolist()) == list(range(n_touched))
+
+
+# -- domain flattening against the %, // and gather loop it replaced -----------
+
+
+def _flatten_by_division(domain, limit=None):
+    """The old flattening: divide each flat position by the inner span."""
+    total = int(np.prod([len(values) for _, values in domain]))
+    limit = total if limit is None else min(total, limit)
+    rem = np.arange(limit, dtype=np.int64)
+    env = {}
+    for var, values in reversed(domain):
+        env[var] = values[rem % len(values)]
+        rem = rem // len(values)
+    return env
+
+
+_loop_ranges = st.tuples(
+    st.integers(-4, 4), st.integers(0, 6), st.integers(1, 3)
+).map(lambda r: np.arange(r[0], r[0] + r[1] * r[2], r[2], dtype=np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_loop_ranges, min_size=1, max_size=3),
+    st.one_of(st.none(), st.sampled_from([0, 1]), st.integers(0, 300)),
+)
+def test_flatten_domain_matches_division(ranges, limit):
+    """Same values, dtype and order as ``values[(p // inner) % n]``,
+    including zero-trip loops and windows past the domain's end."""
+    from repro.oclc.analysis import flatten_domain
+
+    domain = [(f"v{k}", values) for k, values in enumerate(ranges)]
+    got = flatten_domain(domain, limit)
+    want = _flatten_by_division(domain, limit)
+    assert list(got) == list(want)
+    for var, values in want.items():
+        assert got[var].dtype == values.dtype == np.int64
+        assert got[var].tolist() == values.tolist()

@@ -46,7 +46,7 @@ from repro.core.params import (
 from repro.core.runner import BenchmarkRunner
 from repro.core.scheduler import CampaignScheduler
 from repro.core.sweep import ParameterSweep
-from repro.errors import UnsupportedKernelError
+from repro.errors import InterpError, UnsupportedKernelError
 from repro.faults import FAULT_SITES, FaultPlan, FaultSpec
 from repro.obs import metrics as obs_metrics
 from repro.ocl import CommandQueue, Context, Program
@@ -257,9 +257,9 @@ class TestEngineLanes:
         outputs: list[str] = []
         real_validate = engine_mod.validate_solution
 
-        def spy(kernel, dtype, initial, observed, **kw):
+        def spy(kernel, dtype, observed, **kw):
             outputs.append(output_checksum(observed))
-            return real_validate(kernel, dtype, initial, observed, **kw)
+            return real_validate(kernel, dtype, observed, **kw)
 
         monkeypatch.setattr(engine_mod, "validate_solution", spy)
 
@@ -426,6 +426,78 @@ class TestQueueFallback:
         counters = reg.snapshot()["counters"]
         assert counters.get("fastpath.runs.vectorized") == 1
         assert counters.get("fastpath.runs.interpreted") == 1
+
+
+# -- the plan's bounds check: refuse, never clip or wrap -----------------------
+
+#: kernels with one site outside its buffer: numpy would clip a slice
+#: past the end, wrap a negative start and raise on a fancy index, so
+#: the array lane must refuse and leave the launch to the interpreter.
+#: Each entry: source, work-items, words per buffer, the refused buffer.
+OUT_OF_BOUNDS = {
+    "slice-past-end": (
+        """
+__kernel void oob_k(__global const int *a, __global int *c) {
+    int i = get_global_id(0);
+    c[i + 1] = a[i + 1];
+}
+""",
+        8, {"a": 8, "c": 8}, "a",
+    ),
+    "slice-negative-start": (
+        """
+__kernel void oob_k(__global const int *a, __global int *c) {
+    int i = get_global_id(0);
+    c[i] = a[i - 1];
+}
+""",
+        8, {"a": 8, "c": 8}, "a",
+    ),
+    "fancy-out-of-range": (
+        """
+__kernel void oob_k(__global const int *a, __global int *c) {
+    int i = get_global_id(0);
+    c[i] = a[(i % 2) * 8 + i / 2];
+}
+""",
+        8, {"a": 8, "c": 8}, "a",
+    ),
+    # one ``idx`` lowered once, in bounds for ``a``, not for ``c``
+    "shared-index-shorter-buffer": (
+        """
+__kernel void oob_k(__global const int *a, __global int *c) {
+    size_t idx = get_global_id(0);
+    c[idx] = a[idx];
+}
+""",
+        8, {"a": 8, "c": 4}, "c",
+    ),
+    "shared-index-int4-view": (
+        """
+__kernel void oob_k(__global const int *a, __global int4 *c) {
+    size_t idx = get_global_id(0);
+    c[idx] = a[idx];
+}
+""",
+        16, {"a": 32, "c": 32}, "c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_BOUNDS))
+def test_out_of_bounds_site_refused_then_interpreted(case):
+    src, n_items, words, param = OUT_OF_BOUNDS[case]
+    arrays = {name: np.zeros(n, dtype=np.int32) for name, n in words.items()}
+    lane = vectorize_kernel(compile_source(src), "oob_k")
+    with pytest.raises(
+        UnsupportedKernelError, match=f"out-of-bounds access to {param!r}"
+    ):
+        lane.run((n_items,), {n: BufferArg(arr) for n, arr in arrays.items()})
+    # the queue falls back, and the interpreter fails the first access
+    # that leaves its buffer
+    queue, kernel, bufs = _queue_kernel(src, "oob_k", **arrays)
+    with pytest.raises(InterpError, match="out-of-bounds access"):
+        queue.enqueue_nd_range_kernel(kernel.set_args(**bufs), (n_items,))
 
 
 class TestSlotBatchScheduler:
