@@ -72,9 +72,9 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -93,7 +93,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..ocl import Buffer, CommandQueue, Context, Program
 from ..ocl.platform import Device, find_device
-from ..ocl.program import CACHE_COUNTERS, BuildCache
+from ..ocl.program import CACHE_COUNTERS, BuildCache, device_build
 from ..rng import make_rng
 from .generator import GeneratedKernel, generate
 from .history import point_fingerprint
@@ -258,20 +258,15 @@ class _StageClock:
     def __init__(self) -> None:
         self.stage_s: dict[str, float] = {}
 
-    def timed(self, name: str):
-        clock = self
-
-        class _Span:
-            def __enter__(self):
-                self._t0 = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc: object) -> None:
-                clock.stage_s[name] = clock.stage_s.get(name, 0.0) + (
-                    time.perf_counter() - self._t0
-                )
-
-        return _Span()
+    @contextmanager
+    def timed(self, name: str) -> Iterator[None]:
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stage_s[name] = self.stage_s.get(name, 0.0) + (
+                time.perf_counter() - t0
+            )
 
 
 @dataclass(frozen=True)
@@ -551,27 +546,15 @@ class ExecutionEngine:
     ) -> tuple["ExecutionPlan", str]:
         from ..devices.base import BuildOptions
 
-        defines = {k: str(v) for k, v in gen.defines.items()}
-        options = BuildOptions(defines=defines)
+        options = BuildOptions(defines={k: str(v) for k, v in gen.defines.items()})
 
         def build() -> "ExecutionPlan":
-            from ..errors import BuildError
-
-            try:
-                return self.device.model.build(checked, options)
-            except BuildError:
-                raise
-            except ReproError as exc:
-                raise BuildError(
-                    f"build failed for {self.device.short_name}",
-                    device=self.device.short_name,
-                    log=str(exc),
-                ) from exc
+            return device_build(self.device, checked, options)
 
         with obs_trace.span("plan", "engine") as span, clock.timed("plan"):
             if self.cache is None:
                 return build(), "off"
-            plan, hit = self.cache.plan(gen.source, defines, self.device, build)
+            plan, hit = self.cache.plan(checked, self.device, build)
             span.set(cache="hit" if hit else "miss")
             return plan, "hit" if hit else "miss"
 

@@ -5,29 +5,29 @@ candidate in the pool before it spends any *measured* evaluations. The analytic 
 launch time from the kernel IR alone — :meth:`DeviceModel.score_launch`
 — so a "low-fidelity evaluation" here is generate → front-end → device
 build → modelled seconds, with **no arrays allocated and no kernel
-executed**. On the staged engine's shared :class:`BuildCache` the
-front-end and plan stages are content-addressed, so scoring a pool of
-``N`` candidates costs ``N`` cache-keyed builds and ``N`` closed-form
-timing evaluations. That is about 0.44 ms per point on a 2-core VM
-(the campaign benchmark's ``search_small``: 1.9 s for 4,320 scores),
-not microseconds: a front-end compile per distinct kernel (live
-campaigns share them), a device build and the model's timing.
+executed**. The front-end and device-build steps are the engine's own
+compile and plan stages, so on its shared :class:`BuildCache` they are
+content-addressed, and a build failure the scorer caches is the
+failure a later ``explore()`` would cache. Each kernel is analyzed
+once per program, and each strided index sampled once per launch
+size, so every target shares both. Scoring a pool of ``N``
+candidates costs ``N`` cache-keyed builds and ``N`` closed-form timing
+evaluations: about 0.33 ms per point on a 2-core VM (the campaign
+benchmark's ``search_small``: 1.43 s for 4,320 scores), the largest
+part a front-end compile per distinct kernel, which live campaigns
+share.
 
-Cache discipline matters: the scorer routes builds through the engine's
-own :class:`BuildCache` with *exactly* the engine's error wrapping
-(``ReproError`` → :class:`BuildError`), so a failure the scorer caches
-is byte-identical to the failure a later ``explore()`` would cache. A
-candidate that fails to build scores ``None`` and can never be promoted
-— mirroring how a real FPGA flow discards configurations that fail
-place-and-route before ever running them.
+A candidate that fails to build scores ``None`` and can never be
+promoted — mirroring how a real FPGA flow discards configurations that
+fail place-and-route before ever running them.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ...errors import BuildError, ReproError, SweepError
-from ..engine import ExecutionEngine
+from ...errors import ReproError, SweepError
+from ..engine import ExecutionEngine, _StageClock
 from ..generator import generate
 from ..kernels import KERNELS
 from ..params import StreamLocus, TuningParameters
@@ -69,41 +69,13 @@ class LowFidelityScorer:
         return score
 
     def _score(self, params: TuningParameters) -> Optional[float]:
-        from ...devices.base import BuildOptions, Launch
+        from ...devices.base import Launch
 
         gen = generate(params)
+        clock = _StageClock()
         try:
-            if self.engine.cache is not None:
-                checked, _ = self.engine.cache.frontend(gen.source, gen.defines)
-            else:
-                from ...oclc import compile_source_cached
-
-                checked = compile_source_cached(gen.source, defines=gen.defines)
-
-            defines = {k: str(v) for k, v in gen.defines.items()}
-            options = BuildOptions(defines=defines)
-
-            def build():
-                # Identical wrapping to ExecutionEngine._stage_plan: the
-                # plan cache is shared process-wide, so a failure cached
-                # here must be the failure an engine run would cache.
-                try:
-                    return self.device.model.build(checked, options)
-                except BuildError:
-                    raise
-                except ReproError as exc:
-                    raise BuildError(
-                        f"build failed for {self.device.short_name}",
-                        device=self.device.short_name,
-                        log=str(exc),
-                    ) from exc
-
-            if self.engine.cache is not None:
-                plan, _ = self.engine.cache.plan(
-                    gen.source, defines, self.device, build
-                )
-            else:
-                plan = build()
+            checked, _ = self.engine._stage_compile(gen, clock)
+            plan, _ = self.engine._stage_plan(gen, checked, clock)
         except ReproError:
             return None
 

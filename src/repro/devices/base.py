@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import DeviceModelError
 from ..oclc import CheckedProgram, KernelIR, LoopMode, analyze
-from ..oclc.analysis import MemAccess, index_stream
+from ..oclc.analysis import MemAccess, sampled_stride
 
 __all__ = [
     "BuildOptions",
@@ -145,14 +145,14 @@ def access_count(ir: KernelIR, access: MemAccess, launch: Launch) -> int:
 
 
 def profile_accesses(
-    ir: KernelIR, launch: Launch, *, line_bytes: int = 64, sample: int = 8192
+    ir: KernelIR, launch: Launch, *, line_bytes: int = 64
 ) -> list[AccessProfile]:
     """Concretize each access site of ``ir`` for ``launch``."""
     profiles: list[AccessProfile] = []
     for access in ir.accesses:
         n = access_count(ir, access, launch)
         footprint = int(launch.buffer_bytes.get(access.param, 0))
-        stride = _dominant_stride(ir, access, launch, sample)
+        stride = _dominant_stride(ir, access, launch)
         stride_bytes = None if stride is None else stride * access.element_bytes
         reuse = _reuse_window(stride_bytes, access.element_bytes, footprint, line_bytes)
         profiles.append(
@@ -170,21 +170,12 @@ def profile_accesses(
 
 
 def _dominant_stride(
-    ir: KernelIR, access: MemAccess, launch: Launch, sample: int
+    ir: KernelIR, access: MemAccess, launch: Launch
 ) -> Optional[int]:
     """Element stride between consecutive accesses (mode of the diffs)."""
     if access.affine.is_affine:
         return _affine_inner_stride(ir, access)
-    gsize = launch.work_items
-    stream = index_stream(ir, access, global_size=gsize, max_elements=sample)
-    if stream.size < 2:
-        return 0
-    diffs = np.diff(stream)
-    values, counts = np.unique(diffs, return_counts=True)
-    dominant = values[np.argmax(counts)]
-    if counts.max() < 0.5 * diffs.size:
-        return None
-    return int(dominant)
+    return sampled_stride(ir, access, launch.work_items)
 
 
 def _affine_inner_stride(ir: KernelIR, access: MemAccess) -> Optional[int]:

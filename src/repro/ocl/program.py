@@ -41,6 +41,27 @@ __all__ = ["Program", "BuildCache", "CACHE_COUNTERS"]
 CACHE_COUNTERS = ("frontend_hits", "frontend_misses", "plan_hits", "plan_misses")
 
 
+def device_build(
+    device: "Device", checked: "CheckedProgram", options: "BuildOptions"
+) -> "ExecutionPlan":
+    """``device``'s build of ``checked``; any failure is a :class:`BuildError`.
+
+    The one wrapping of a device build, so a failure cached by one
+    caller (a program, the engine, the search's model tier) replays
+    identically for every other.
+    """
+    try:
+        return device.model.build(checked, options)
+    except BuildError:
+        raise
+    except ReproError as exc:
+        raise BuildError(
+            f"build failed for {device.short_name}",
+            device=device.short_name,
+            log=str(exc),
+        ) from exc
+
+
 class BuildCache:
     """Content-addressed build artifacts for one campaign.
 
@@ -48,7 +69,9 @@ class BuildCache:
     cache holds every program it returned, and so keeps it in the weak
     process-wide :func:`repro.oclc.compile_source_cached` memo, where
     every other live cache finds it: a miss here compiles only if no
-    live caller holds the program. Device plans are
+    live caller holds the program. Device plans are keyed by the same
+    front-end key, which :meth:`frontend` computes once per request and
+    :meth:`plan` looks up by program, plus the device. They are
     stored via each :class:`~repro.devices.base.DeviceModel`'s
     plan-cache hook (so independent campaigns against the same device
     still share plans). Build *failures* are cached too — a sweep
@@ -64,6 +87,9 @@ class BuildCache:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._checked: dict[tuple, "CheckedProgram"] = {}
+        # id -> front-end key of each program in _checked, which holds
+        # them all, so no id is reused while its entry lives
+        self._keys: dict[int, tuple] = {}
         self._counters = dict.fromkeys(CACHE_COUNTERS, 0)
 
     # -- stages ------------------------------------------------------------------
@@ -89,32 +115,33 @@ class BuildCache:
             return cached, True
         self._bump("frontend_misses")
         checked = compile_source_cached(
-            source, {k: str(v) for k, v in (defines or {}).items()}
+            source, {k: str(v) for k, v in (defines or {}).items()}, key=key
         )
         with self._lock:
             self._checked[key] = checked
+            self._keys[id(checked)] = key
         return checked, False
 
     def plan(
         self,
-        source: str,
-        defines: Mapping[str, str | int] | None,
+        checked: "CheckedProgram",
         device: "Device",
         build: "Callable[[], ExecutionPlan]",
     ) -> "tuple[ExecutionPlan, bool]":
-        """Device build once per ``(source, defines, device)`` triple.
+        """Device build once per ``(front-end key, device)`` pair.
 
-        Returns ``(plan, hit)``; a cached failure re-raises the original
-        exception (and counts as a hit — the expensive estimation was
-        skipped). *Transient* failures
-        (:class:`~repro.errors.TransientError` — a toolchain flake, not
-        a design that does not fit) are never cached: the retry that
-        follows must get a fresh build, and a later campaign must not
-        replay a one-off failure as if it were permanent.
+        ``checked`` is a program :meth:`frontend` returned; its plan is
+        keyed by the front-end key it was filed under. Returns ``(plan,
+        hit)``; a cached failure re-raises the original exception (and
+        counts as a hit — the expensive estimation was skipped).
+        *Transient* failures (:class:`~repro.errors.TransientError` — a
+        toolchain flake, not a design that does not fit) are never
+        cached: the retry that follows must get a fresh build, and a
+        later campaign must not replay a one-off failure as if it were
+        permanent.
         """
-        from ..oclc import frontend_key
-
-        key = frontend_key(source, defines) + (device.short_name,)
+        with self._lock:
+            key = self._keys[id(checked)] + (device.short_name,)
         entry = device.model.plan_cache_get(key)
         if entry is not None:
             self._bump("plan_hits")
@@ -187,13 +214,10 @@ class Program:
             try:
                 if cache is not None:
                     plan, _ = cache.plan(
-                        self.source,
-                        self._defines,
-                        device,
-                        lambda: self._device_build(device, checked, opts),
+                        checked, device, lambda: device_build(device, checked, opts)
                     )
                 else:
-                    plan = self._device_build(device, checked, opts)
+                    plan = device_build(device, checked, opts)
             except BuildError as exc:
                 self._build_logs[device.short_name] = exc.log
                 raise
@@ -212,20 +236,6 @@ class Program:
         except OclcError as exc:
             raise BuildError(
                 f"front-end error: {exc}", device="<front-end>", log=str(exc)
-            ) from exc
-
-    def _device_build(
-        self, device: "Device", checked: "CheckedProgram", options: "BuildOptions"
-    ) -> "ExecutionPlan":
-        try:
-            return device.model.build(checked, options)
-        except BuildError:
-            raise
-        except ReproError as exc:
-            raise BuildError(
-                f"build failed for {device.short_name}",
-                device=device.short_name,
-                log=str(exc),
             ) from exc
 
     @classmethod

@@ -22,7 +22,7 @@ import re
 import weakref
 from typing import Mapping
 
-from .analysis import KernelIR, LoopMode, MemAccess, analyze, classify_stride, index_stream
+from .analysis import KernelIR, LoopMode, MemAccess, analyze, index_stream
 from .cast import TranslationUnit, to_source
 from .fold import fold_expr, fold_stmt, fold_unit
 from .interp import BufferArg, KernelInterpreter, run_kernel
@@ -57,7 +57,6 @@ __all__ = [
     "fold_unit",
     "fold_expr",
     "fold_stmt",
-    "classify_stride",
     "index_stream",
 ]
 
@@ -114,7 +113,10 @@ def frontend_key(
 
 
 def compile_source_cached(
-    source: str, defines: Mapping[str, str] | None = None
+    source: str,
+    defines: Mapping[str, str] | None = None,
+    *,
+    key: tuple | None = None,
 ) -> CheckedProgram:
     """Memoized :func:`compile_source`, keyed by :func:`frontend_key`.
 
@@ -124,9 +126,13 @@ def compile_source_cached(
     with the same key gets that instance, so the per-target engines of
     one search compile each kernel once. A direct caller keeps a program
     only while it holds it. ``CheckedProgram`` artifacts are immutable
-    after checking, so sharing one instance between callers is safe.
+    after checking (their analyses are memoized pure functions of
+    them), so sharing one instance between callers is safe. A caller
+    that already holds ``frontend_key(source, defines)`` passes it as
+    ``key``.
     """
-    key = frontend_key(source, defines)
+    if key is None:
+        key = frontend_key(source, defines)
     checked = _frontend_cache.get(key)
     if checked is None:
         checked = _frontend_cache[key] = compile_source(source, defines)

@@ -20,7 +20,13 @@ The device performance models never execute kernel code; they consume a
 Index expressions that are not affine (e.g. ``gid % C`` remappings) are
 still usable: :func:`index_stream` evaluates any supported index
 expression *numerically*, vectorized over the iteration domain, and
-:func:`classify_stride` falls back to sampling the stream.
+:func:`sampled_stride` takes their dominant stride from a sample of the
+stream.
+
+Both results are pure functions of the program, so each is computed
+once: :func:`analyze` keeps every kernel's IR on its
+:class:`CheckedProgram`, and :func:`sampled_stride` keeps each sampled
+stride on the IR.
 """
 
 from __future__ import annotations
@@ -33,8 +39,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from ..errors import UnsupportedKernelError
+from ..obs import metrics as obs_metrics
 from ..ocl import types as T
 from . import cast
+from .interp import trunc_div, trunc_mod
 from .semantic import (
     BUILTIN_WORKITEM_FUNCTIONS,
     CheckedProgram,
@@ -50,8 +58,11 @@ __all__ = [
     "analyze",
     "flatten_domain",
     "index_stream",
-    "classify_stride",
+    "sampled_stride",
 ]
+
+#: leading elements of an index stream that :func:`sampled_stride` samples
+STRIDE_SAMPLE = 8192
 
 
 class LoopMode(enum.Enum):
@@ -142,6 +153,10 @@ class KernelIR:
     consts: dict[str, int] = field(default_factory=dict)
     gid_aliases: dict[str, str] = field(default_factory=dict)
     expr_aliases: dict[str, cast.Expr] = field(default_factory=dict)
+    #: :func:`sampled_stride`'s results, by (index expression, work-items)
+    strides: dict[tuple[cast.Expr, int], Optional[int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def reads(self) -> tuple[MemAccess, ...]:
@@ -192,10 +207,17 @@ class KernelIR:
 
 
 def analyze(program: CheckedProgram, kernel_name: str | None = None) -> KernelIR:
-    """Build the :class:`KernelIR` for a kernel of a checked program."""
+    """The :class:`KernelIR` for a kernel of a checked program.
+
+    The IR is a pure function of the program and the kernel, so the
+    program keeps it (``program.irs``): every device model's plan and
+    the array lane share one IR per kernel.
+    """
     func = program.kernel(kernel_name)
-    analyzer = _Analyzer(program, func)
-    return analyzer.run()
+    ir = program.irs.get(func.name)
+    if ir is None:
+        ir = program.irs[func.name] = _Analyzer(program, func).run()
+    return ir
 
 
 class _Analyzer:
@@ -213,6 +235,7 @@ class _Analyzer:
         self.uses_gid_directly = False
 
     def run(self) -> KernelIR:
+        obs_metrics.count("oclc.analyses")
         self._walk_stmt(self.func.body, depth=0)
         attrs = {a.name: a.args for a in self.func.attributes}
         gid_vars = tuple(sorted(set(self.gid_aliases.values())))
@@ -737,8 +760,8 @@ class _IndexEval:
                 "+": np.add,
                 "-": np.subtract,
                 "*": np.multiply,
-                "/": lambda a, b: np.asarray(a) // np.asarray(b),
-                "%": lambda a, b: np.asarray(a) % np.asarray(b),
+                "/": trunc_div,
+                "%": trunc_mod,
                 "<<": np.left_shift,
                 ">>": np.right_shift,
                 "&": np.bitwise_and,
@@ -755,27 +778,33 @@ class _IndexEval:
         )
 
 
-def classify_stride(
-    ir: KernelIR, access: MemAccess, *, global_size: int = 1, sample: int = 4096
+def sampled_stride(
+    ir: KernelIR, access: MemAccess, work_items: int
 ) -> Optional[int]:
-    """Constant element stride of the access stream, or ``None``.
+    """Dominant element stride of ``access`` over ``work_items``, or ``None``.
 
-    Uses the affine classification when available; otherwise samples the
-    numeric stream and checks for a constant first difference.
+    Samples the leading :data:`STRIDE_SAMPLE` elements of the access's
+    :func:`index_stream` and returns the most common difference between
+    consecutive indices, or ``None`` when it covers less than half of
+    them. Equal index expressions of one kernel give equal streams, so
+    the result is kept on ``ir`` per ``(index, work_items)``: the arrays
+    indexed through one local, every target and every launch of one
+    size share one sample.
     """
-    if access.affine.is_affine:
-        inner_var = None
-        if ir.loops:
-            inner_var = ir.loops[-1].var
-        elif ir.loop_mode is LoopMode.NDRANGE:
-            inner_var = "gid0"
-        if inner_var is not None:
-            # the variable that changes between consecutive stream items
-            return access.affine.stride_of(inner_var) or access.affine.stride_of("gid0")
-    stream = index_stream(ir, access, global_size=global_size, max_elements=sample)
-    if stream.size < 2:
-        return 0
-    diffs = np.diff(stream)
-    if np.all(diffs == diffs[0]):
-        return int(diffs[0])
-    return None
+    key = (access.index, work_items)
+    try:
+        return ir.strides[key]
+    except KeyError:
+        pass
+    stream = index_stream(
+        ir, access, global_size=work_items, max_elements=STRIDE_SAMPLE
+    )
+    stride: Optional[int] = 0
+    if stream.size >= 2:
+        diffs = np.diff(stream)
+        values, counts = np.unique(diffs, return_counts=True)
+        stride = int(values[np.argmax(counts)])
+        if counts.max() < 0.5 * diffs.size:
+            stride = None
+    ir.strides[key] = stride
+    return stride

@@ -39,7 +39,7 @@ from .semantic import (
     vector_memory_builtin,
 )
 
-__all__ = ["BufferArg", "run_kernel", "KernelInterpreter"]
+__all__ = ["BufferArg", "run_kernel", "KernelInterpreter", "trunc_div", "trunc_mod"]
 
 #: Refuse single runs above this many (work-items x loop iterations) to
 #: keep accidental full-size interpretation from hanging a test session.
@@ -73,6 +73,24 @@ class _ContinueSignal(Exception):
 class _ReturnSignal(Exception):
     def __init__(self, value: object = None):
         self.value = value
+
+
+def trunc_div(left: object, right: object) -> np.ndarray:
+    """C integer division in int64: the quotient truncated toward zero.
+
+    The one definition of ``/`` on integers: kernels (this interpreter,
+    the array lane) and the device models' index streams all use it.
+    """
+    la = np.asarray(left, dtype=np.int64)
+    ra = np.asarray(right, dtype=np.int64)
+    return (np.sign(la) * np.sign(ra)) * (np.abs(la) // np.abs(ra))
+
+
+def trunc_mod(left: object, right: object) -> np.ndarray:
+    """C integer remainder in int64: it takes the sign of ``left``."""
+    la = np.asarray(left, dtype=np.int64)
+    ra = np.asarray(right, dtype=np.int64)
+    return la - trunc_div(la, ra) * ra
 
 
 def run_kernel(
@@ -501,20 +519,17 @@ class _Evaluator:
     def _divide(left: object, right: object, result_ty: T.Type) -> object:
         if result_ty.is_float():
             return np.divide(left, right)
-        la = np.asarray(left, dtype=np.int64)
         ra = np.asarray(right, dtype=np.int64)
         if np.any(ra == 0):
             raise InterpError("integer division by zero")
-        # C semantics: truncate toward zero.
-        return (np.sign(la) * np.sign(ra)) * (np.abs(la) // np.abs(ra))
+        return trunc_div(left, ra)
 
     @staticmethod
     def _modulo(left: object, right: object) -> object:
-        la = np.asarray(left, dtype=np.int64)
         ra = np.asarray(right, dtype=np.int64)
         if np.any(ra == 0):
             raise InterpError("integer modulo by zero")
-        return la - (np.sign(la) * np.sign(ra)) * (np.abs(la) // np.abs(ra)) * ra
+        return trunc_mod(left, ra)
 
     def _assign(self, expr: cast.Assign) -> object:
         value = self.eval(expr.value)

@@ -36,7 +36,7 @@ from ..errors import UnsupportedKernelError
 from ..ocl import types as T
 from . import cast
 from .analysis import KernelIR, LoopMode, analyze, flatten_domain
-from .interp import BufferArg
+from .interp import BufferArg, trunc_div, trunc_mod
 from .semantic import CheckedProgram
 
 __all__ = ["SpecializedKernel", "specialize"]
@@ -407,13 +407,9 @@ def apply_binary(op: str, left: object, right: object, ty: T.Type) -> object:
                 return -raw.astype(ty.dtype)
             return raw.astype(np.int32)
         if op == "/" and not ty.is_float():
-            la = np.asarray(left_a, dtype=np.int64)
-            ra = np.asarray(right_a, dtype=np.int64)
-            raw = (np.sign(la) * np.sign(ra)) * (np.abs(la) // np.abs(ra))
+            raw = trunc_div(left_a, right_a)
         elif op == "%":
-            la = np.asarray(left_a, dtype=np.int64)
-            ra = np.asarray(right_a, dtype=np.int64)
-            raw = la - (np.sign(la) * np.sign(ra)) * (np.abs(la) // np.abs(ra)) * ra
+            raw = trunc_mod(left_a, right_a)
         else:
             raw = _ARITH_IMPL[op](left_a, right_a)
         return cast_value(raw, ty)

@@ -237,14 +237,17 @@ class TestFrontendMemo:
         assert second.stats()["frontend_misses"] == len(sources)
 
     def test_memo_releases_programs_nobody_holds(self):
+        """Each program is analyzed, so it holds its IR, which holds it:
+        the cycle must not keep a program nobody else holds alive."""
         sources = _tiny_kernels("memo_release")
         keys = [frontend_key(source, None) for source in sources]
         first, second = BuildCache(), BuildCache()
         for source in sources:
-            first.frontend(source, None)
+            checked, _ = first.frontend(source, None)
             second.frontend(source, None)
+            assert oclc.analyze(checked).program is checked
         assert all(key in oclc._frontend_cache for key in keys)
-        del first, second
+        del first, second, checked
         gc.collect()
         assert not any(key in oclc._frontend_cache for key in keys)
 

@@ -1,16 +1,30 @@
-"""Kernel analysis: loop modes, affine strides, index streams, IR metrics."""
+"""Kernel analysis: loop modes, affine strides, index streams, IR metrics, memos."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.devices.base import Launch, profile_accesses
 from repro.errors import UnsupportedKernelError
-from repro.oclc import LoopMode, analyze, classify_stride, compile_source, index_stream
+from repro.oclc import (
+    BufferArg,
+    LoopMode,
+    analyze,
+    compile_source,
+    index_stream,
+    run_kernel,
+)
 
 
 def ir_of(src, defines=None):
     return analyze(compile_source(src, defines))
+
+
+def stride_bytes(ir, global_size=1):
+    """Each access site's stride, as the device models see it."""
+    launch = Launch(global_size=(global_size,))
+    return [p.stride_bytes for p in profile_accesses(ir, launch)]
 
 
 class TestLoopModes:
@@ -173,7 +187,7 @@ class TestIndexStreams:
         )
         stream = index_stream(ir, ir.writes[0], global_size=16)
         assert np.array_equal(stream, np.arange(16))
-        assert classify_stride(ir, ir.writes[0], global_size=16) == 1
+        assert stride_bytes(ir, 16) == [4, 4]
 
     def test_column_walk_stream(self):
         ir = ir_of(
@@ -185,7 +199,7 @@ class TestIndexStreams:
         # column-major: first column is 0, 4, 8, ... then column 1
         assert np.array_equal(stream[:8], np.arange(8) * 4)
         assert stream[8] == 1
-        assert classify_stride(ir, ir.writes[0]) == 4
+        assert stride_bytes(ir) == [16]
 
     def test_modulo_stream_covers_all_elements(self):
         ir = ir_of(
@@ -212,4 +226,64 @@ class TestIndexStreams:
             " size_t idx = (g * g) % 64;"
             " c[idx] = 1; }"
         )
-        assert classify_stride(ir, ir.writes[0], global_size=64) is None
+        assert stride_bytes(ir, 64) == [None]
+
+    @pytest.mark.parametrize(
+        "index", ["(i - 5) / 2 + 3", "(i - 5) % 3 + 2", "(3 - i) / 2 + 4", "(3 - i) % 4 + 3"]
+    )
+    def test_negative_division_truncates_like_the_kernel(self, index):
+        """The model's stream is the addresses the kernel reads: C
+        division truncates toward zero, and ``%`` takes the dividend's
+        sign, also when an intermediate is negative."""
+        program = compile_source(
+            "__kernel void k(__global const int *a, __global int *c)"
+            f"{{ int i = get_global_id(0); c[i] = a[{index}]; }}"
+        )
+        ir = analyze(program)
+        read = np.zeros(8, dtype=np.int32)
+        args = {"a": BufferArg(np.arange(16, dtype=np.int32)), "c": BufferArg(read)}
+        run_kernel(program, "k", (8,), args)
+        stream = index_stream(ir, ir.reads[0], global_size=8)
+        assert stream.tolist() == read.tolist()
+
+
+class TestMemo:
+    """Analysis and sampled strides are computed once and shared."""
+
+    def test_each_kernel_of_a_program_has_its_own_ir(self):
+        program = compile_source(
+            "__kernel void first(__global int *c)"
+            "{ size_t i = get_global_id(0); c[i] = 1; }\n"
+            "__kernel void second(__global int *c)"
+            "{ for (int i = 0; i < 8; i++) c[i] = 2; }\n"
+        )
+        first = analyze(program, "first")
+        second = analyze(program, "second")
+        assert (first.name, first.loop_mode) == ("first", LoopMode.NDRANGE)
+        assert (second.name, second.loop_mode) == ("second", LoopMode.FLAT)
+        assert analyze(program, "first") is first
+        assert analyze(program, "second") is second
+
+    def test_sampled_stride_follows_the_work_item_count(self):
+        """A quadratic walk has one difference at 2 work-items and no
+        dominant one at 4,096: the shared IR must give, at each size,
+        what a fresh sample gives."""
+        src = (
+            "__kernel void k(__global int *c)"
+            "{ size_t g = get_global_id(0); c[g * g] = 1; }"
+        )
+        shared = ir_of(src)
+        seen = {}
+        for items in (4096, 2, 4096):
+            seen[items] = stride_bytes(shared, items)
+            assert seen[items] == stride_bytes(ir_of(src), items)
+        assert seen == {4096: [None], 2: [4]}
+
+    def test_accesses_through_one_index_share_one_sample(self):
+        ir = ir_of(
+            "__kernel void k(__global const int *a, __global const int *b,"
+            " __global int *c) { size_t g = get_global_id(0);"
+            " size_t idx = (g % 8) * 8 + g / 8; c[idx] = a[idx] + b[idx]; }"
+        )
+        assert stride_bytes(ir, 64) == [32, 32, 32]
+        assert len(ir.strides) == 1

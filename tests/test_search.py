@@ -13,10 +13,13 @@ the golden trajectories then pin end-to-end.
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import oclc
 from repro.core import (
     BenchmarkRunner,
     CampaignScheduler,
@@ -29,7 +32,10 @@ from repro.core import (
     multifidelity_search,
 )
 from repro.core.search import LowFidelityScorer, promote
+from repro.devices.base import DeviceModel
 from repro.errors import SweepError
+from repro.oclc import analysis
+from repro.oclc.specialize import SpecializedKernel
 from repro.units import KIB
 
 #: the paper's tuning axes: kernel x loop management x vector width x
@@ -305,6 +311,59 @@ class TestLowFidelityScorer:
         control = BenchmarkRunner("aocl", ntimes=1, cache=False).run(monster)
         assert not via_scorer_first.ok and not control.ok
         assert via_scorer_first.failure_kind == control.failure_kind
+
+    def test_uncached_scores_equal_cached_scores(self):
+        points = [SEED, SEED.with_(loop=LoopManagement.FLAT, vector_width=4)]
+        cached = LowFidelityScorer(BenchmarkRunner("gpu", ntimes=1))
+        uncached = LowFidelityScorer(BenchmarkRunner("gpu", ntimes=1, cache=False))
+        assert [uncached.score(p) for p in points] == [cached.score(p) for p in points]
+
+    def test_search_analyzes_each_program_once(self, monkeypatch):
+        """Two targets score one pool and measure their top points: each
+        distinct program is analyzed once, and the array lane runs each
+        measured point with the IR its plan holds."""
+        monkeypatch.setattr(oclc, "_frontend_cache", weakref.WeakValueDictionary())
+        compiled, analyzed, specialized, plans = [], [], [], []
+        compile_source = oclc.compile_source
+        run = analysis._Analyzer.run
+        init = SpecializedKernel.__init__
+        build = DeviceModel.build
+
+        def counting_compile(source, defines=None):
+            compiled.append(compile_source(source, defines))
+            return compiled[-1]
+
+        def counting_run(self):
+            analyzed.append(self.program)
+            return run(self)
+
+        def recording_init(self, ir):
+            specialized.append(ir)
+            init(self, ir)
+
+        def recording_build(self, checked, options):
+            plans.append(build(self, checked, options))
+            return plans[-1]
+
+        monkeypatch.setattr(oclc, "compile_source", counting_compile)
+        monkeypatch.setattr(analysis._Analyzer, "run", counting_run)
+        monkeypatch.setattr(SpecializedKernel, "__init__", recording_init)
+        monkeypatch.setattr(DeviceModel, "build", recording_build)
+        axes = {
+            "kernel": [KernelName.COPY, KernelName.TRIAD],
+            "loop": [LoopManagement.FLAT, LoopManagement.NDRANGE],
+            "vector_width": [1, 4],
+        }
+        runners = [BenchmarkRunner(t, ntimes=1) for t in ("gpu", "aocl")]
+        for runner in runners:
+            multifidelity_search(
+                runner, axes, seed=TuningParameters(array_bytes=16 * KIB), budget=2
+            )
+        assert len(compiled) == 8
+        assert sorted(map(id, analyzed)) == sorted(map(id, compiled))
+        assert len(specialized) == 4
+        for ir in specialized:
+            assert any(plan.ir is ir for plan in plans)
 
 
 # ---------------------------------------------------------------------------
