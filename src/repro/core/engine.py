@@ -660,8 +660,8 @@ class ExecutionEngine:
             )
             kernel = program.create_kernel(gen.kernel_name)
 
-            initial = initial_arrays(params.word_count, params.dtype)
-            buffers = self._make_buffers(ctx, initial)
+            words = initial_arrays(1, params.dtype)
+            buffers = self._make_buffers(ctx, words, params.word_count)
             try:
                 self._bind(kernel, params, buffers)
                 if self.faults is not None:
@@ -694,9 +694,11 @@ class ExecutionEngine:
                 validated = False
                 observed: dict[str, np.ndarray] | None = None
                 if self.validate or self.verify:
+                    # views, not copies: releasing the buffers below
+                    # leaves their storage to the views
                     observed = {
-                        name: buffers[name].view(initial[name].dtype).copy()
-                        for name in ("a", "b", "c")
+                        name: buffer.view(words[name].dtype)
+                        for name, buffer in buffers.items()
                     }
                     if self.faults is not None and self.faults.corrupt_readback(
                         key, attempt, observed
@@ -754,13 +756,19 @@ class ExecutionEngine:
         )
 
     def _make_buffers(
-        self, ctx: Context, initial: dict[str, np.ndarray]
+        self, ctx: Context, words: dict[str, np.ndarray], word_count: int
     ) -> dict[str, Buffer]:
+        """STREAM's arrays, each allocated once and filled in place.
+
+        ``words`` holds each array's initial word. A buffer made by size
+        is zeroed and device-resident, so warm-up measures steady state;
+        only a non-zero word is written.
+        """
         buffers: dict[str, Buffer] = {}
-        for name in ("a", "b", "c"):
-            buffers[name] = ctx.create_buffer(hostbuf=initial[name])
-            # pre-place on the device so warm-up measures steady state
-            buffers[name].residency = "device"
+        for name, word in words.items():
+            buffers[name] = ctx.create_buffer(size=word_count * word.itemsize)
+            if word[0]:
+                buffers[name].view(word.dtype).fill(word[0])
         return buffers
 
     def _bind(
@@ -794,8 +802,8 @@ class ExecutionEngine:
             ctx, queue = self._runtime()
             if self.faults is not None:
                 queue.fault_hook = self._fault_hook(key, attempt, fired)
-            initial = initial_arrays(params.word_count, params.dtype)
-            src = initial["a"]
+            word = initial_arrays(1, params.dtype)["a"]
+            src = np.full(params.word_count, word[0], dtype=word.dtype)
             dst = np.empty_like(src)
             buffer = ctx.create_buffer(size=params.array_bytes)
             try:

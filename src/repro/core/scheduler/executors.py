@@ -164,11 +164,14 @@ class Executor:
         Block until any outstanding task resolves and return its
         :class:`Outcome` (completion order, not submission order).
     ``cancel_pending()``
-        Withdraw every task that has not started executing and return
-        the cancelled :class:`Task` list; in-flight points keep
+        Withdraw every task that has not been handed to a worker and
+        return the cancelled :class:`Task` list; in-flight points keep
         running. This is the graceful-shutdown drain: on SIGTERM the
         scheduler cancels the queue, collects what is already in
-        flight, checkpoints the journal and exits.
+        flight, checkpoints the journal and exits. The process pool
+        hands a freed worker its next task as soon as it returns one,
+        so a signal that lands while the scheduler records that point
+        drains one more point per freed worker.
 
     Closing the session cancels queued-but-unstarted tasks and releases
     workers. Executors are stateless factories — one instance can open
@@ -527,6 +530,9 @@ class _ProcessSession(_SessionBase):
         task = worker.current
         worker.current = None
         assert task is not None
+        # the freed worker starts its next point while this process
+        # decodes, journals and reports the one it returned
+        self._dispatch()
         if kind == "done":
             self._absorb(worker, message[4], message[5])
             return Outcome.done(task, result_from_record(message[3]))

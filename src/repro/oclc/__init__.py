@@ -88,21 +88,29 @@ def effective_defines(
 ) -> tuple[tuple[str, str], ...]:
     """The subset of ``defines`` that can influence compiling ``source``.
 
-    The preprocessor substitutes macros on word boundaries, so a ``-D``
-    entry whose name never appears as a word in the source cannot change
-    the compile — two sweep points that differ only in such a define
-    share one front-end artifact. Sources containing their own
-    preprocessor directives (``#define``/``#ifdef``...) conservatively
-    keep every define, since conditional blocks may test macro names
-    that are not otherwise mentioned.
+    The preprocessor substitutes macros on word boundaries, and expands
+    a define's value again until nothing changes, so a ``-D`` entry
+    whose name is reachable neither from a word of the source nor from
+    the value of a define that is cannot change the compile — two sweep
+    points that differ only in such a define share one front-end
+    artifact. Sources containing their own preprocessor directives
+    (``#define``/``#ifdef``...) conservatively keep every define, since
+    conditional blocks may test macro names that are not otherwise
+    mentioned.
     """
     if not defines:
         return ()
     items = sorted((k, str(v)) for k, v in defines.items())
     if _DIRECTIVE_RE.search(source):
         return tuple(items)
+    values = dict(items)
+    reached: set[str] = set()
     words = set(_WORD_RE.findall(source))
-    return tuple((k, v) for k, v in items if k in words)
+    while words:
+        new = {w for w in words if w in values and w not in reached}
+        reached |= new
+        words = {w for name in new for w in _WORD_RE.findall(values[name])}
+    return tuple((k, v) for k, v in items if k in reached)
 
 
 def frontend_key(

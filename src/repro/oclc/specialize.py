@@ -20,9 +20,10 @@ module holds the two halves that lane is built on:
 
   Callers run the kernel on the interpreter in those cases.
 * The array primitives (:func:`apply_binary`, :func:`cast_value`,
-  :func:`reduce_sum`, :func:`build_domain_env`, …): the C/OpenCL
-  arithmetic rules (wrap-around integers, truncating division,
-  scalar-vs-vector stream broadcasting) over whole-domain arrays.
+  :func:`reduce_sum`, :func:`launch_domain`, …): the C/OpenCL
+  arithmetic rules (wrap-around integers, truncating division) over
+  whole-domain arrays, whose operands the caller has already given a
+  common shape.
 """
 
 from __future__ import annotations
@@ -355,21 +356,6 @@ _ARITH_IMPL = {
 # -- shared array semantics -----------------------------------------------------
 
 
-def align_streams(left: object, right: object) -> tuple[object, object]:
-    """Broadcast a (..., N) scalar stream against a (..., N, w) vector stream.
-
-    The canonical case is (N,) vs (N, w): when one side is exactly the
-    other minus its lane axis, the scalar stream gains that axis.
-    """
-    la = np.asarray(left)
-    ra = np.asarray(right)
-    if la.ndim >= 1 and la.ndim == ra.ndim - 1 and la.shape == ra.shape[: la.ndim]:
-        return la[..., None], ra
-    if ra.ndim >= 1 and ra.ndim == la.ndim - 1 and ra.shape == la.shape[: ra.ndim]:
-        return la, ra[..., None]
-    return left, right
-
-
 def cast_value(value: object, ty: T.Type) -> object:
     if isinstance(ty, (T.ScalarType, T.VectorType)):
         arr = np.asarray(value)
@@ -394,33 +380,29 @@ def apply_unary(op: str, value: object, ty: T.Type, line: int) -> object:
 
 
 def apply_binary(op: str, left: object, right: object, ty: T.Type) -> object:
-    left_a, right_a = align_streams(left, right)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if op in ("&&", "||"):
-            lb = np.asarray(left_a) != 0
-            rb = np.asarray(right_a) != 0
+            lb = np.asarray(left) != 0
+            rb = np.asarray(right) != 0
             out = np.logical_and(lb, rb) if op == "&&" else np.logical_or(lb, rb)
             return out.astype(np.int32)
         if op in _CMP_IMPL:
-            raw = _CMP_IMPL[op](left_a, right_a)
+            raw = _CMP_IMPL[op](left, right)
             if isinstance(ty, T.VectorType):
                 return -raw.astype(ty.dtype)
             return raw.astype(np.int32)
         if op == "/" and not ty.is_float():
-            raw = trunc_div(left_a, right_a)
+            raw = trunc_div(left, right)
         elif op == "%":
-            raw = trunc_mod(left_a, right_a)
+            raw = trunc_mod(left, right)
         else:
-            raw = _ARITH_IMPL[op](left_a, right_a)
+            raw = _ARITH_IMPL[op](left, right)
         return cast_value(raw, ty)
 
 
 def apply_math(name: str, args: list[object], ty: T.Type) -> object:
-    aligned = args
-    if len(args) == 2:
-        aligned = list(align_streams(args[0], args[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = _MATH_IMPL[name](*aligned)
+        raw = _MATH_IMPL[name](*args)
     return cast_value(raw, ty)
 
 
@@ -435,27 +417,32 @@ def reduce_sum(init: object, value: object) -> object:
         return result.astype(dtype) if result.dtype != dtype else result
 
 
-def build_domain_env(ir: KernelIR, n_items: int) -> dict[str, object]:
-    """Per-variable index arrays over the flattened iteration domain.
+def launch_domain(ir: KernelIR, n_items: int) -> list[tuple[str, range]]:
+    """The iteration domain's variables, outermost first, with their values.
 
     The domain is ``gid0`` over ``n_items`` work-items, then the counted
-    loop nest; :func:`~repro.oclc.analysis.flatten_domain` lays it out
-    innermost fastest, so a 1-D domain stays one ``arange``.
+    loop nest. A single work-item kernel launched with more than one
+    item keeps ``gid0``: every item does identical work, and the
+    semantics equal running once.
     """
-    domain: list[tuple[str, np.ndarray]] = []
-    if ir.loop_mode is LoopMode.NDRANGE or ir.gid_vars:
-        domain.append(("gid0", np.arange(n_items, dtype=np.int64)))
-    elif n_items != 1:
-        # single work-item kernel launched with >1 items: every item
-        # does identical work; semantics equal running once.
-        domain.append(("gid0", np.arange(n_items, dtype=np.int64)))
+    domain: list[tuple[str, range]] = []
+    if ir.loop_mode is LoopMode.NDRANGE or ir.gid_vars or n_items != 1:
+        domain.append(("gid0", range(n_items)))
     for loop in ir.loops:
-        domain.append(
-            (loop.var, np.arange(loop.start, loop.bound, loop.step, dtype=np.int64))
-        )
-    if not domain:
-        domain = [("gid0", np.arange(n_items, dtype=np.int64))]
-    return flatten_domain(domain)  # type: ignore[return-value]
+        domain.append((loop.var, range(loop.start, loop.bound, loop.step)))
+    return domain or [("gid0", range(n_items))]
+
+
+def build_domain_env(ir: KernelIR, n_items: int) -> dict[str, np.ndarray]:
+    """Per-variable index arrays over the flattened :func:`launch_domain`.
+
+    :func:`~repro.oclc.analysis.flatten_domain` lays it out innermost
+    fastest, so a 1-D domain stays one ``arange``.
+    """
+    return flatten_domain([
+        (var, np.arange(values.start, values.stop, values.step, dtype=np.int64))
+        for var, values in launch_domain(ir, n_items)
+    ])
 
 
 def bind_arguments(

@@ -33,7 +33,7 @@ from repro.core import (
     generate,
 )
 from repro.errors import BenchmarkError, SweepError
-from repro.oclc import effective_defines, frontend_key
+from repro.oclc import effective_defines, frontend_key, to_source
 from repro.units import KIB, MIB
 
 
@@ -197,6 +197,21 @@ class TestFrontendSharing:
         _, hit_1 = cache.frontend(source, {"N": 64})
         _, hit_2 = cache.frontend(source, {"N": 128})
         assert not hit_1 and hit_2
+
+    def test_defines_reached_through_another_define_are_kept(self):
+        # the lexer expands ``A`` to ``B`` and ``B`` to its value, so
+        # ``B`` is part of the compile though the source never names it
+        source = "__kernel void k(__global int *a) { a[0] = A; }\n"
+        three, four = {"A": "B", "B": "3"}, {"A": "B", "B": "4"}
+        assert effective_defines(source, four) == (("A", "B"), ("B", "4"))
+        assert effective_defines(source, {"A": "B", "B": "C", "C": "5", "D": "6"}) == (
+            ("A", "B"), ("B", "C"), ("C", "5"),
+        )
+        cache = BuildCache()
+        _, hit_3 = cache.frontend(source, three)
+        checked_4, hit_4 = cache.frontend(source, four)
+        assert not hit_3 and not hit_4
+        assert "a[0] = 4;" in to_source(checked_4.unit)
 
     def test_sources_with_directives_keep_all_defines(self):
         source = "#ifdef FAST\n#endif\n__kernel void k(__global int *a) { a[0] = 1; }\n"

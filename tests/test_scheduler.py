@@ -26,8 +26,9 @@ from repro.core import (
     TuningParameters,
     explore,
     make_executor,
+    point_fingerprint,
 )
-from repro.core.scheduler import ProcessExecutor
+from repro.core.scheduler import ProcessExecutor, Task
 from repro.devices.custom import device_from_dict
 from repro.errors import SweepError, WorkerCrashError, failure_kind
 from repro.faults import FaultPlan
@@ -360,6 +361,23 @@ class TestProcessExecutor:
             assert {w["worker"] for w in status} == {"worker-0", "worker-1"}
             assert all(w["alive"] for w in status)
             assert all(isinstance(w["pid"], int) for w in status)
+
+    def test_freed_worker_gets_next_point_before_outcome_returns(self):
+        # the parent journals and reports a point after next_outcome
+        # returns it; the worker must not wait for that to get more work
+        points = list(_sweep().points())[:2]
+        tasks = [
+            Task(index=i, key=point_fingerprint("gpu", p), params=p)
+            for i, p in enumerate(points)
+        ]
+        with ProcessExecutor(jobs=1).session(_engine()) as session:
+            for task in tasks:
+                session.submit(task)
+            assert session.worker_status()[0]["point"] == tasks[0].key
+            first = session.next_outcome()
+            assert first.task == tasks[0]
+            assert session.worker_status()[0]["point"] == tasks[1].key
+            assert session.next_outcome().task == tasks[1]
 
     def test_journal_written_by_parent_survives_worker_kills(self, tmp_path):
         spec = _find_requeue_seed()

@@ -481,6 +481,47 @@ __kernel void oob_k(__global const int *a, __global int4 *c) {
 """,
         16, {"a": 32, "c": 32}, "c",
     ),
+    # ``i - 1`` wraps to the top of ``size_t`` for work-item 0; as a
+    # walk it would read ``a[-1]``, which a negative slice start wraps
+    "size-t-underflow": (
+        """
+__kernel void oob_k(__global const int *a, __global int *c) {
+    size_t i = get_global_id(0);
+    c[i] = a[i - 1];
+}
+""",
+        8, {"a": 8, "c": 8}, "a",
+    ),
+    # 2 * 20000 wraps to -25536 in a ``short``
+    "narrowing-cast-wraps": (
+        """
+__kernel void oob_k(__global const int *a, __global int *c) {
+    int i = get_global_id(0);
+    c[i] = a[(short)(i * 20000)];
+}
+""",
+        8, {"a": 8, "c": 8}, "a",
+    ),
+    "reversed-walk-past-start": (
+        """
+__kernel void oob_k(__global const int *a, __global int *c) {
+    int i = get_global_id(0);
+    c[8 - i] = a[i];
+}
+""",
+        8, {"a": 8, "c": 8}, "c",
+    ),
+    # the column-major walk's last element is a[11]
+    "strided-walk-past-end": (
+        """
+__kernel void oob_k(__global const int *a, __global int *c) {
+    size_t g = get_global_id(0);
+    size_t idx = (g % 4) * 3 + g / 4;
+    c[g] = a[idx];
+}
+""",
+        12, {"a": 11, "c": 12}, "a",
+    ),
 }
 
 
@@ -498,6 +539,468 @@ def test_out_of_bounds_site_refused_then_interpreted(case):
     queue, kernel, bufs = _queue_kernel(src, "oob_k", **arrays)
     with pytest.raises(InterpError, match="out-of-bounds access"):
         queue.enqueue_nd_range_kernel(kernel.set_args(**bufs), (n_items,))
+
+
+# -- closed-form launch plans ---------------------------------------------------
+
+#: kernels whose plan must take a given path, each checked bit for bit
+#: against the interpreter on random data. Each entry: source,
+#: work-items, words per buffer, then the sites the plan builds in
+#: closed form and the sites it materializes.
+PLAN_PATHS = {
+    # a slice for the store, an index array where ``(uchar)`` wraps
+    "narrowing-cast-wraps": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    int i = get_global_id(0);
+    c[i] = a[(uchar)(i * 64)];
+}
+""",
+        8, {"a": 256, "c": 8}, 1, 1,
+    ),
+    # 3 does not divide the 8 work-items, so ``%`` cannot split them
+    "mod-by-non-divisor": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    int i = get_global_id(0);
+    c[i] = a[(i % 3) * 3 + i / 3];
+}
+""",
+        8, {"a": 9, "c": 8}, 1, 1,
+    ),
+    "mod-by-divisor": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    int i = get_global_id(0);
+    c[i] = a[(i % 3) * 4 + i / 3];
+}
+""",
+        12, {"a": 12, "c": 12}, 2, 0,
+    ),
+    "reversed-walk": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    int i = get_global_id(0);
+    c[7 - i] = a[i];
+}
+""",
+        8, {"a": 8, "c": 8}, 2, 0,
+    ),
+    "reversed-2d-walk": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    for (int i = 0; i < 4; i++) {
+        for (int j = 0; j < 3; j++) {
+            c[(3 - i) * 3 + j] = a[j * 4 + i];
+        }
+    }
+}
+""",
+        1, {"a": 12, "c": 12}, 2, 0,
+    ),
+    # ``a[i]`` does not move along ``j``: a stride-0 view
+    "zero-stride-load": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    for (int i = 0; i < 4; i++) {
+        for (int j = 0; j < 3; j++) {
+            c[i * 3 + j] = a[i];
+        }
+    }
+}
+""",
+        1, {"a": 4, "c": 12}, 2, 0,
+    ),
+    # a store that writes each element three times keeps the index
+    # array, whose last write wins as the interpreter's does
+    "zero-stride-store": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    for (int i = 0; i < 4; i++) {
+        for (int j = 0; j < 3; j++) {
+            c[i] = a[i * 3 + j];
+        }
+    }
+}
+""",
+        1, {"a": 12, "c": 4}, 1, 1,
+    ),
+    # the index is also a value: the plan builds the domain arrays
+    "index-stored-as-value": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    int i = get_global_id(0);
+    c[i] = i;
+}
+""",
+        8, {"a": 8, "c": 8}, 1, 0,
+    ),
+    "strided-walk-value-of-gid": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    size_t g = get_global_id(0);
+    size_t idx = (g % 4) * 3 + g / 4;
+    c[idx] = a[idx] + (int)get_global_id(0);
+}
+""",
+        12, {"a": 12, "c": 12}, 2, 0,
+    ),
+    "int4-strided-walk": (
+        """
+__kernel void k(__global const int4 *a, __global int4 *c) {
+    size_t g = get_global_id(0);
+    size_t idx = (g % 4) * 3 + g / 4;
+    c[idx] = a[idx] * 3 + 1;
+}
+""",
+        12, {"a": 48, "c": 48}, 2, 0,
+    ),
+    # a scalar per work-item broadcasts across the int4 lanes
+    "scalar-into-int4-strided-walk": (
+        """
+__kernel void k(__global const int *a, __global int4 *c) {
+    size_t g = get_global_id(0);
+    size_t idx = (g % 4) * 3 + g / 4;
+    c[idx] = a[idx];
+}
+""",
+        12, {"a": 12, "c": 48}, 2, 0,
+    ),
+    "vload4-strided-walk": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    size_t g = get_global_id(0);
+    size_t idx = (g % 4) * 3 + g / 4;
+    vstore4(vload4(idx, a) * 3, idx, c);
+}
+""",
+        12, {"a": 48, "c": 48}, 2, 0,
+    ),
+    "vload4-strided-nested-loops": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    for (int j = 0; j < 3; j++) {
+        for (int i = 0; i < 4; i++) {
+            int idx = i * 3 + j;
+            vstore4(vload4(idx, a) + 2, idx, c);
+        }
+    }
+}
+""",
+        1, {"a": 48, "c": 48}, 2, 0,
+    ),
+    # two divisors of one variable split it into three digits
+    "chained-splits": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    int i = get_global_id(0);
+    c[(i / 4) * 4 + (i % 2) * 2 + (i / 2) % 2] = a[i];
+}
+""",
+        16, {"a": 16, "c": 16}, 2, 0,
+    ),
+    "integer-reduction-over-strided-walk": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    int acc = 0;
+    for (int j = 0; j < 3; j++) {
+        for (int i = 0; i < 4; i++) {
+            acc += a[i * 3 + j] * (i + 1);
+        }
+    }
+    c[0] = acc;
+}
+""",
+        1, {"a": 12, "c": 1}, 2, 0,
+    ),
+    # ``2 * i - 5`` splits into 2 * (i - 3) + 1, but C truncates its
+    # negative values toward zero where that quotient walk would floor
+    "negative-dividend": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    int i = get_global_id(0);
+    c[i] = a[(2 * i - 5) / 2 + 3];
+}
+""",
+        8, {"a": 8, "c": 8}, 1, 1,
+    ),
+    "bitwise-index": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    int i = get_global_id(0);
+    c[i] = a[i ^ 1];
+}
+""",
+        8, {"a": 8, "c": 8}, 1, 1,
+    ),
+    # a uniform int4 times a scalar per work-item on a 4 x 3 and a
+    # 3 x 4 walk: whichever domain extent equals the width, every lane
+    # k holds a * lit[k]
+    "int4-literal-times-4x3-walk": (
+        """
+__kernel void k(__global const int *a, __global int4 *c) {
+    size_t g = get_global_id(0);
+    size_t idx = (g % 4) * 3 + g / 4;
+    c[idx] = a[idx] * (int4)(1, 2, 3, 4);
+}
+""",
+        12, {"a": 12, "c": 48}, 2, 0,
+    ),
+    "int4-literal-times-3x4-walk": (
+        """
+__kernel void k(__global const int *a, __global int4 *c) {
+    size_t g = get_global_id(0);
+    size_t idx = (g % 3) * 4 + g / 3;
+    c[idx] = a[idx] * (int4)(1, 2, 3, 4);
+}
+""",
+        12, {"a": 12, "c": 48}, 2, 0,
+    ),
+    # as many work-items as lanes: the uniform int4 still fills each
+    # element, not one lane per work-item
+    "uniform-int4-stored-per-work-item": (
+        """
+__kernel void k(__global const int *a, __global int4 *c) {
+    int g = get_global_id(0);
+    c[g] = (int4)(1, 2, 3, 4) * a[0];
+}
+""",
+        4, {"a": 4, "c": 16}, 2, 0,
+    ),
+    # a scalar converted to int4 has every lane equal
+    "scalar-splat-then-swizzle": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    int g = get_global_id(0);
+    int4 v = a[g];
+    c[g] = v.y + ((int4)a[g]).w;
+}
+""",
+        8, {"a": 8, "c": 8}, 3, 0,
+    ),
+}
+
+
+def _sites(counters: dict) -> tuple[int, int]:
+    return (
+        counters.get("fastpath.sites.closed_form", 0),
+        counters.get("fastpath.sites.materialized", 0),
+    )
+
+
+def _run_both(src: str, n_items: int, words: dict[str, int], seed: int = 0):
+    """Interpreter and array lane on the same random buffers.
+
+    Returns both outputs (``None`` for a driver that failed the
+    launch: the interpreter's ``InterpError``, the lane's refusal) and
+    the lane's plan counters.
+    """
+    rng = np.random.default_rng(seed)
+    start = {
+        name: rng.integers(-1000, 1000, n).astype(np.int32)
+        for name, n in words.items()
+    }
+    program = compile_source(src)
+    want: dict[str, np.ndarray] | None = {n: a.copy() for n, a in start.items()}
+    try:
+        run_kernel(program, "k", (n_items,), {n: BufferArg(a) for n, a in want.items()})
+    except InterpError:
+        want = None
+    got: dict[str, np.ndarray] | None = {n: a.copy() for n, a in start.items()}
+    reg = obs_metrics.MetricsRegistry()
+    with obs_metrics.use_registry(reg):
+        try:
+            vectorize_kernel(program, "k").run(
+                (n_items,), {n: BufferArg(a) for n, a in got.items()}
+            )
+        except UnsupportedKernelError:
+            got = None
+    return want, got, reg.snapshot()["counters"]
+
+
+@pytest.mark.parametrize("case", list(PLAN_PATHS))
+def test_plan_path_and_bits(case):
+    src, n_items, words, closed, materialized = PLAN_PATHS[case]
+    want, got, counters = _run_both(src, n_items, words)
+    assert want is not None and got is not None
+    for name in words:
+        assert np.array_equal(got[name], want[name]), name
+    assert _sites(counters) == (closed, materialized)
+
+
+_INT_INTO_INT4 = """
+__kernel void k(__global const int *a, __global int4 *c) {
+    int g = get_global_id(0);
+    c[0] = a[g];
+}
+"""
+
+#: a value per work-item stored to one element: the interpreter keeps
+#: the last work-item's value, which the array lane cannot, so it
+#: refuses. Each entry: source, work-items, words per buffer.
+ONE_ELEMENT_STORES = {
+    "int": (
+        """
+__kernel void k(__global const int *a, __global int *c) {
+    int g = get_global_id(0);
+    c[0] = a[g] + 7;
+}
+""",
+        4, {"a": 4, "c": 4},
+    ),
+    # as many work-items as lanes, then twice as many
+    "int-into-int4-4-items": (_INT_INTO_INT4, 4, {"a": 4, "c": 4}),
+    "int-into-int4-8-items": (_INT_INTO_INT4, 8, {"a": 8, "c": 4}),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_ELEMENT_STORES))
+def test_value_per_work_item_into_one_element_refuses(case):
+    src, n_items, words = ONE_ELEMENT_STORES[case]
+    want, got, _ = _run_both(src, n_items, words)
+    assert got is None and want is not None
+
+
+def test_queue_interprets_a_one_element_store():
+    src = ONE_ELEMENT_STORES["int"][0]
+    queue, kernel, bufs = _queue_kernel(
+        src, "k", a=np.arange(4, dtype=np.int32), c=np.zeros(4, dtype=np.int32)
+    )
+    queue.enqueue_nd_range_kernel(kernel.set_args(**bufs), (4,))
+    assert list(bufs["c"].view(np.int32)) == [10, 0, 0, 0]
+
+
+@pytest.mark.parametrize("acc, value", [("int", "3"), ("int4", "(int4)(1, 2, 3, 4)")])
+def test_sum_of_a_uniform_value_refuses(acc, value):
+    # the interpreter adds the value once per iteration; the array lane
+    # sums along the domain, which a value without one does not have
+    src = f"""
+__kernel void k(__global const int *a, __global {acc} *c) {{
+    {acc} total = 0;
+    for (int i = 0; i < 4; i++) {{
+        total += {value};
+    }}
+    c[0] = total;
+}}
+"""
+    want, got, _ = _run_both(src, 1, {"a": 4, "c": 4})
+    assert got is None and want is not None
+
+
+def test_non_contiguous_buffer_refuses():
+    # the lane's views address a buffer's memory directly, so a strided
+    # argument goes to the interpreter
+    src = """
+__kernel void k(__global const int4 *a, __global int4 *c) {
+    int g = get_global_id(0);
+    c[g] = a[g] + 1;
+}
+"""
+    program = compile_source(src)
+    c = np.zeros(32, dtype=np.int32)[::2]
+    a = np.arange(16, dtype=np.int32)
+    with pytest.raises(UnsupportedKernelError, match="not contiguous"):
+        vectorize_kernel(program, "k").run((4,), {"a": BufferArg(a), "c": BufferArg(c)})
+
+
+def test_generated_kernels_build_no_index_array():
+    """Every conformance variant's plan is closed form: contiguous and
+    strided walks, NDRange and both loop styles, vector types and
+    vload/vstore. An index array here is a lost fast path."""
+    reg = obs_metrics.MetricsRegistry()
+    with obs_metrics.use_registry(reg):
+        for kernel in ALL_KERNELS:
+            for params in variant_grid(kernel, DataType.FLOAT, ARRAY_BYTES):
+                _run_lane(params, vectorize_kernel)
+    closed, materialized = _sites(reg.snapshot()["counters"])
+    assert closed > 0 and materialized == 0
+
+
+#: the index forms the random kernels draw from: domain variables, a
+#: pure local, literals, + - *, / and % by a constant, and casts
+_CASTS = ("int", "uint", "long", "size_t", "short", "uchar")
+
+
+@st.composite
+def _index_expr(draw, names: tuple[str, ...], depth: int = 0) -> str:
+    if depth >= 3 or draw(st.integers(0, 2)) == 0:
+        if draw(st.booleans()):
+            return draw(st.sampled_from(names))
+        return str(draw(st.integers(0, 12)))
+    kind = draw(st.sampled_from(("+", "-", "*", "/", "%", "cast")))
+    inner = draw(_index_expr(names, depth + 1))
+    if kind == "cast":
+        return f"({draw(st.sampled_from(_CASTS))})({inner})"
+    if kind in ("/", "%"):
+        return f"({inner}) {kind} {draw(st.integers(1, 6))}"
+    if kind == "*":
+        return f"({inner}) * {draw(st.integers(0, 6))}"
+    other = draw(_index_expr(names, depth + 1))
+    return f"({inner}) {kind} ({other})"
+
+
+#: what the random kernels store into an ``int4`` buffer: a scalar per
+#: work-item converted to int4, or met by a uniform int4
+_INT4_VALUES = (
+    "a[{load}] + 7",
+    "a[{load}] * (int4)(1, 2, 3, 4)",
+    "(int4)(a[{load}], 1, t, 3) + (int4)(t)",
+)
+
+
+@st.composite
+def _walk_kernel(draw) -> tuple[str, int]:
+    """A random kernel: an NDRange or a loop nest, one load, one store
+    into an ``int`` or an ``int4`` buffer."""
+    ndrange = draw(st.booleans())
+    loops = draw(st.integers(0 if ndrange else 1, 2))
+    n_items = draw(st.integers(1, 24)) if ndrange else 1
+    body: list[str] = []
+    names: list[str] = []
+    if ndrange:
+        body.append(f"{draw(st.sampled_from(('int', 'size_t')))} g = get_global_id(0);")
+        names.append("g")
+    heads = []
+    for level in range(loops):
+        var = "ij"[level]
+        start, trips, step = (
+            draw(st.integers(0, 2)), draw(st.integers(1, 6)), draw(st.integers(1, 2))
+        )
+        heads.append(
+            f"for (int {var} = {start}; {var} < {start + trips * step}; "
+            f"{var} += {step}) {{"
+        )
+        names.append(var)
+    local = draw(_index_expr(tuple(names)))
+    load = draw(_index_expr(tuple(names) + ("t",)))
+    store = draw(_index_expr(tuple(names) + ("t",)))
+    element = draw(st.sampled_from(("int", "int4")))
+    value = "a[{load}] + 7"
+    if element == "int4":
+        value = draw(st.sampled_from(_INT4_VALUES))
+    inner = [
+        f"int t = {local};",
+        f"c[{store}] = {value.format(load=load)};",
+    ]
+    src = "\n".join(
+        [f"__kernel void k(__global const int *a, __global {element} *c) {{"]
+        + body + heads + inner + ["}"] * loops + ["}"]
+    )
+    return src, n_items
+
+
+@settings(max_examples=200, deadline=None)
+@given(_walk_kernel(), st.integers(0, 2**16))
+def test_random_index_walks_match_interpreter_or_refuse(kernel, seed):
+    src, n_items = kernel
+    # an int4 buffer of 1,600 words has as many elements as the int one
+    c_words = 1600 if "int4 *c" in src else 400
+    want, got, _ = _run_both(src, n_items, {"a": 400, "c": c_words}, seed)
+    if got is None:
+        return  # a loud refusal is the allowed escape hatch
+    assert want is not None, f"the array lane ran what the interpreter failed:\n{src}"
+    for name in ("a", "c"):
+        assert np.array_equal(got[name], want[name]), f"{name} diverged:\n{src}"
 
 
 class TestSlotBatchScheduler:
