@@ -35,7 +35,6 @@ from .core import (
     RunResult,
     StreamLocus,
     TuningParameters,
-    best_configuration,
     explore,
     generate,
     optimal_loop_for,
@@ -60,7 +59,6 @@ __all__ = [
     "ResultSet",
     "ParameterSweep",
     "explore",
-    "best_configuration",
     "generate",
     "optimal_loop_for",
     "get_platforms",

@@ -728,7 +728,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     for changes, reason in sweep.skipped:
         print(f"skipped {changes}: {reason}")
-    stats = runner.engine.stats_snapshot()
+    stats = runner.stats_snapshot()
     stage_s = stats["stage_s"]
     print(
         f"\n{len(results)} point(s) on {args.jobs} job(s) "

@@ -66,7 +66,7 @@ from .search import (
     SearchRung,
     multifidelity_search,
 )
-from .sweep import ParameterSweep, best_configuration, explore
+from .sweep import ParameterSweep, explore
 from .validate import validate_solution
 
 __all__ = [
@@ -104,7 +104,6 @@ __all__ = [
     "ResultSet",
     "ParameterSweep",
     "explore",
-    "best_configuration",
     "validate_solution",
     "multifidelity_search",
     "SearchResult",

@@ -16,11 +16,15 @@ with cached artifacts between them:
    :class:`~repro.devices.base.ExecutionPlan` via the device model's
    plan-cache hook, keyed by ``(source, defines, device)``; build
    *failures* (FPGA resource overflow) are cached and replayed too;
-4. **execute** — on a long-lived context/queue pair, one functional
-   pass of the kernel, then ``warmup + ntimes`` launches timed on the
-   device model (the first of them is that pass; the rest run inside
-   :meth:`~repro.ocl.CommandQueue.external_execution`), STREAM
-   validation;
+4. **execute** — stream.c's discipline on a long-lived context/queue
+   pair: STREAM's three arrays (a=1, b=2, c=0), one untimed warm-up
+   launch (:data:`WARMUP`), ``ntimes`` timed launches whose best time
+   sets the bandwidth, then a check of the final arrays against the
+   closed form. Every launch is timed on the device model; only the
+   first executes the kernel, and the rest run inside
+   :meth:`~repro.ocl.CommandQueue.external_execution`. A host-stream
+   point (``StreamLocus.HOST``) times a write plus a read over the
+   interconnect per launch instead;
 5. **verify** (optional, ``verify=True``) — differential verification of
    the point's output through :mod:`repro.verify`: the observed arrays
    are checked against an independent re-derivation (oclc interpreter
@@ -49,7 +53,8 @@ included, fold back through :meth:`EngineStats.merge_snapshot`.
 Resilience: transient failures (marked with the
 :class:`~repro.errors.TransientError` mixin — injected by a
 :class:`~repro.faults.FaultPlan` or raised by a flaky backend) are
-retried with capped exponential backoff and deterministic jitter;
+retried with capped exponential backoff (:data:`BACKOFF_S` doubling
+per attempt up to :data:`BACKOFF_CAP_S`) and deterministic jitter;
 permanent failures are classified into the
 :func:`~repro.errors.failure_kind` taxonomy on the result. A
 :class:`Watchdog` bounds each point's wall and/or virtual time so one
@@ -111,6 +116,13 @@ __all__ = ["ExecutionEngine", "EngineStats", "Watchdog", "WorkerSpec", "STAGES"]
 
 #: pipeline stage names, in order ("verify" only runs when enabled)
 STAGES = ("generate", "compile", "plan", "execute", "verify")
+
+#: untimed launches before the timed ones (stream.c's one warm-up)
+WARMUP = 1
+
+#: the first transient-retry delay, doubled per attempt, and its cap
+BACKOFF_S = 0.05
+BACKOFF_CAP_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -209,47 +221,25 @@ class EngineStats:
                 **self.cache_counts,
             }
 
-    def merge_snapshot(
-        self, snapshot: dict[str, object], *, mirror_metrics: bool = True
-    ) -> None:
+    def merge_snapshot(self, snapshot: dict[str, object]) -> None:
         """Fold another stats sink's :meth:`snapshot` into this one.
 
         Worker processes (the scheduler's process backend) each
         accumulate into their own sink and ship incremental deltas home
-        with every point outcome — this is the receiving end. With
-        ``mirror_metrics=True`` the merged counters are also mirrored
-        into the obs metrics registry in bulk so ``--metrics`` totals
-        stay correct; pass ``False`` when the worker's own metric counts
-        already arrive via the telemetry relay (:mod:`repro.obs.relay`),
-        which would double-count them.
+        with every point outcome — this is the receiving end. Their
+        metric counts arrive separately, through the telemetry relay
+        (:mod:`repro.obs.relay`).
         """
-        points = int(snapshot.get("points", 0) or 0)
-        failures = int(snapshot.get("failures", 0) or 0)
-        retries = int(snapshot.get("retries", 0) or 0)
         cache = {name: int(snapshot.get(name, 0) or 0) for name in CACHE_COUNTERS}
         stage_s = snapshot.get("stage_s") or {}
         with self._lock:
-            self.points += points
-            self.failures += failures
-            self.retries += retries
+            self.points += int(snapshot.get("points", 0) or 0)
+            self.failures += int(snapshot.get("failures", 0) or 0)
+            self.retries += int(snapshot.get("retries", 0) or 0)
             for name, count in cache.items():
                 self.cache_counts[name] += count
             for name, seconds in stage_s.items():  # type: ignore[union-attr]
                 self.stage_s[name] = self.stage_s.get(name, 0.0) + float(seconds)
-        if not mirror_metrics:
-            return
-        if points:
-            obs_metrics.count("engine.points", points)
-        if failures:
-            obs_metrics.count("engine.failures", failures)
-        if retries:
-            obs_metrics.count("engine.retries", retries)
-        for name, count in cache.items():
-            if count:
-                obs_metrics.count(f"build_cache.{name}", count)
-        for name, seconds in stage_s.items():  # type: ignore[union-attr]
-            if seconds:
-                obs_metrics.count(f"engine.stage_s.{name}", float(seconds))
 
 
 class _StageClock:
@@ -290,34 +280,34 @@ class WorkerSpec:
     model_cls: "type[DeviceModel]"
     device_spec: "DeviceSpec"
     ntimes: int
-    warmup: int
-    validate: bool
     verify: bool
     cached: bool
     faults: FaultSpec | None
     watchdog: Watchdog | None
     retries: int
-    backoff_s: float
-    backoff_cap_s: float
 
 
 class ExecutionEngine:
-    """Cached, staged benchmark execution on one target device."""
+    """Cached, staged benchmark execution on one target device.
+
+    ``cache=False`` disables artifact caching (every point pays the
+    full front-end and device build); a :class:`BuildCache` shares one
+    between engines. ``faults``, ``watchdog`` and ``retries`` configure
+    the resilience layer (fault injection, the per-point budget,
+    transient retry); ``verify=True`` adds the differential
+    verification stage after every point (see :mod:`repro.verify`).
+    """
 
     def __init__(
         self,
         device: Device | str,
         *,
         ntimes: int = 5,
-        warmup: int = 1,
-        validate: bool = True,
         verify: bool = False,
         cache: BuildCache | bool = True,
         faults: FaultPlan | None = None,
         watchdog: Watchdog | None = None,
         retries: int = 2,
-        backoff_s: float = 0.05,
-        backoff_cap_s: float = 1.0,
     ):
         if isinstance(device, str):
             device = find_device(device)
@@ -327,8 +317,6 @@ class ExecutionEngine:
             raise BenchmarkError(f"retries must be >= 0, got {retries}")
         self.device = device
         self.ntimes = ntimes
-        self.warmup = warmup
-        self.validate = validate
         self.verify = verify
         if cache is True:
             self.cache: BuildCache | None = BuildCache()
@@ -340,8 +328,6 @@ class ExecutionEngine:
         self.faults = faults
         self.watchdog = watchdog
         self.retries = retries
-        self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
         self._ctx: Context | None = None
         self._queue: CommandQueue | None = None
 
@@ -356,15 +342,11 @@ class ExecutionEngine:
             model_cls=type(model),
             device_spec=model.spec,
             ntimes=self.ntimes,
-            warmup=self.warmup,
-            validate=self.validate,
             verify=self.verify,
             cached=self.cache is not None,
             faults=self.faults.spec if self.faults is not None else None,
             watchdog=self.watchdog,
             retries=self.retries,
-            backoff_s=self.backoff_s,
-            backoff_cap_s=self.backoff_cap_s,
         )
 
     @classmethod
@@ -379,22 +361,16 @@ class ExecutionEngine:
         return cls(
             Device(spec.model_cls(spec.device_spec)),
             ntimes=spec.ntimes,
-            warmup=spec.warmup,
-            validate=spec.validate,
             verify=spec.verify,
             cache=spec.cached,
             faults=FaultPlan(spec.faults) if spec.faults is not None else None,
             watchdog=spec.watchdog,
             retries=spec.retries,
-            backoff_s=spec.backoff_s,
-            backoff_cap_s=spec.backoff_cap_s,
         )
 
     # -- public API -----------------------------------------------------------
 
-    def run(
-        self, params: TuningParameters, *, watchdog: Watchdog | None = None
-    ) -> RunResult:
+    def run(self, params: TuningParameters) -> RunResult:
         """Run one parameter point; never raises for per-point failures.
 
         Build failures (including FPGA resource overflows) and
@@ -403,12 +379,12 @@ class ExecutionEngine:
         recorded, so sweeps can keep going — exactly what a long DSE
         campaign needs. Transient failures
         (:class:`~repro.errors.TransientError`) are retried up to
-        ``retries`` times with capped exponential backoff; a ``watchdog``
-        budget (the argument overrides the engine-level one) cancels a
-        runaway attempt as a ``"timeout"`` failure. Attempt counts and
-        backoff land in ``detail["engine"]``.
+        ``retries`` times with capped exponential backoff; the
+        ``watchdog`` budget cancels a runaway attempt as a
+        ``"timeout"`` failure. Attempt counts and backoff land in
+        ``detail["engine"]``.
         """
-        dog = watchdog if watchdog is not None else self.watchdog
+        dog = self.watchdog
         key = point_fingerprint(self.target, params)
         clock = _StageClock()
         attempt = 0
@@ -491,16 +467,14 @@ class ExecutionEngine:
         attempt number — reproducible, but still decorrelates workers
         that hit the same flaky resource simultaneously.
         """
-        if self.backoff_s <= 0:
-            return 0.0
-        base = min(self.backoff_cap_s, self.backoff_s * (2.0**attempt))
+        base = min(BACKOFF_CAP_S, BACKOFF_S * (2.0**attempt))
         digest = hashlib.sha256(
             f"backoff\x1f{attempt}\x1f{point_key}".encode()
         ).digest()
         jitter = 0.5 + float(
             make_rng(int.from_bytes(digest[:8], "little")).random()
         )
-        return min(self.backoff_cap_s, base * jitter)
+        return min(BACKOFF_CAP_S, base * jitter)
 
     def run_all_kernels(self, params: TuningParameters) -> list[RunResult]:
         """Run COPY/SCALE/ADD/TRIAD at the same parameter point."""
@@ -673,54 +647,48 @@ class ExecutionEngine:
 
                 # Every KERNELS entry writes a buffer it does not read,
                 # so one functional pass leaves the buffers bit-identical
-                # to warmup + ntimes passes: the first launch executes,
+                # to WARMUP + ntimes passes: the first launch executes,
                 # the rest are timed on the model alone. Every launch
                 # still goes through the queue, so the fault hook,
                 # events, counters and the watchdog see each one.
                 times = []
                 last_detail: dict[str, object] = {}
-                for launch in range(self.warmup + self.ntimes):
+                for launch in range(WARMUP + self.ntimes):
                     with queue.external_execution() if launch else nullcontext():
                         event = queue.enqueue_nd_range_kernel(
                             kernel, gen.global_size, gen.local_size
                         )
-                    if launch < self.warmup:
+                    if launch < WARMUP:
                         continue
                     times.append(event.latency)
                     last_detail = dict(event.detail)
                     if budget is not None:
                         budget.charge_virtual(event.latency)
 
-                validated = False
-                observed: dict[str, np.ndarray] | None = None
-                if self.validate or self.verify:
-                    # views, not copies: releasing the buffers below
-                    # leaves their storage to the views
-                    observed = {
-                        name: buffer.view(words[name].dtype)
-                        for name, buffer in buffers.items()
-                    }
-                    if self.faults is not None and self.faults.corrupt_readback(
-                        key, attempt, observed
-                    ):
-                        fired.add("readback")
-                if self.validate:
-                    assert observed is not None
-                    try:
-                        validate_solution(
-                            params.kernel,
-                            params.dtype,
-                            observed,
-                            word_count=params.word_count,
-                            touched_words=gen.touched_words,
-                        )
-                    except ValidationError as exc:
-                        if "readback" in fired:
-                            raise InjectedReadbackFault(
-                                f"injected readback corruption detected: {exc}"
-                            ) from exc
-                        raise
-                    validated = True
+                # views, not copies: releasing the buffers below leaves
+                # their storage to the views
+                observed = {
+                    name: buffer.view(words[name].dtype)
+                    for name, buffer in buffers.items()
+                }
+                if self.faults is not None and self.faults.corrupt_readback(
+                    key, attempt, observed
+                ):
+                    fired.add("readback")
+                try:
+                    validate_solution(
+                        params.kernel,
+                        params.dtype,
+                        observed,
+                        word_count=params.word_count,
+                        touched_words=gen.touched_words,
+                    )
+                except ValidationError as exc:
+                    if "readback" in fired:
+                        raise InjectedReadbackFault(
+                            f"injected readback corruption detected: {exc}"
+                        ) from exc
+                    raise
             finally:
                 queue.fault_hook = None
                 self._release(ctx, buffers)
@@ -730,14 +698,11 @@ class ExecutionEngine:
         # observed arrays strictly after validation passed, so only the
         # strict differential verify stage can catch it — as a
         # permanent ``verify_mismatch`` failure, never a crash.
-        if (
-            observed is not None
-            and self.faults is not None
-            and self.faults.corrupt_vectorize(key, attempt, observed)
+        if self.faults is not None and self.faults.corrupt_vectorize(
+            key, attempt, observed
         ):
             fired.add("vectorize")
         if self.verify:
-            assert observed is not None
             last_detail["verify"] = self._stage_verify(
                 params, gen, observed, clock, key=key, attempt=attempt
             )
@@ -751,7 +716,7 @@ class ExecutionEngine:
             params=params,
             times=tuple(times),
             moved_bytes=params.moved_bytes,
-            validated=validated,
+            validated=True,
             detail=last_detail,
         )
 
@@ -814,26 +779,21 @@ class ExecutionEngine:
                         budget.check_wall if budget is not None else None,
                     )
                 times = []
-                for _ in range(self.warmup + self.ntimes):
+                for _ in range(WARMUP + self.ntimes):
                     w = queue.enqueue_write_buffer(buffer, src)
                     r = queue.enqueue_read_buffer(buffer, dst)
                     times.append((w.end - w.queued) + (r.end - r.queued))
                     if budget is not None:
                         budget.charge_virtual(times[-1])
-                times = times[self.warmup :]
+                times = times[WARMUP:]
 
-                validated = False
-                if self.validate:
-                    if not np.array_equal(dst, src):
-                        if "readback" in fired:
-                            raise InjectedReadbackFault(
-                                "injected corruption on the host-stream "
-                                "round trip detected"
-                            )
-                        raise ValidationError(
-                            "host-stream round trip corrupted data"
+                if not np.array_equal(dst, src):
+                    if "readback" in fired:
+                        raise InjectedReadbackFault(
+                            "injected corruption on the host-stream "
+                            "round trip detected"
                         )
-                    validated = True
+                    raise ValidationError("host-stream round trip corrupted data")
             finally:
                 queue.fault_hook = None
                 self._release(ctx, {"xfer": buffer})
@@ -842,7 +802,7 @@ class ExecutionEngine:
             params=params,
             times=tuple(times),
             moved_bytes=2 * params.array_bytes,  # one write + one read
-            validated=validated,
+            validated=True,
             detail={
                 "mode": "host-stream",
                 "engine": self._instrumentation(clock, "off", "off"),

@@ -89,7 +89,15 @@ JOURNAL_SCHEMA = 2
 TORN_WRITE_EXIT_CODE = 5
 
 
-def _params_to_json(p: TuningParameters) -> dict:
+# The record codec. Journals and result files store records in this
+# form, and the scheduler's process backend ships parameters and results
+# across the worker pipe in it: the JSON roundtrip is proven
+# fingerprint-stable (journal resume relies on it), which is what makes
+# a process-backend campaign byte-identical to a serial one.
+
+
+def params_to_record(p: TuningParameters) -> dict:
+    """Canonical JSON form of a parameter point (wire/journal format)."""
     return {
         "kernel": p.kernel.value,
         "array_bytes": p.array_bytes,
@@ -109,7 +117,8 @@ def _params_to_json(p: TuningParameters) -> dict:
     }
 
 
-def _params_from_json(data: dict) -> TuningParameters:
+def params_from_record(data: dict) -> TuningParameters:
+    """Inverse of :func:`params_to_record`."""
     return TuningParameters(
         kernel=KernelName(data["kernel"]),
         array_bytes=int(data["array_bytes"]),
@@ -152,11 +161,18 @@ def _jsonify(value: object) -> object:
     return repr(value)
 
 
-def _result_to_record(r: RunResult, *, detail: bool = False) -> dict:
+def result_to_record(r: RunResult, *, detail: bool = False) -> dict:
+    """Canonical JSON form of a result (wire/journal format).
+
+    With ``detail=True`` (journals and the process backend; the compact
+    :func:`save_results` files leave it out) the record reconstructs a
+    result whose :meth:`~repro.core.results.RunResult.fingerprint`
+    equals the original's.
+    """
     record = {
         "schema": _SCHEMA,
         "target": r.target,
-        "params": _params_to_json(r.params),
+        "params": params_to_record(r.params),
         "times_s": list(r.times),
         "moved_bytes": r.moved_bytes,
         "validated": r.validated,
@@ -168,10 +184,11 @@ def _result_to_record(r: RunResult, *, detail: bool = False) -> dict:
     return record
 
 
-def _result_from_record(record: dict) -> RunResult:
+def result_from_record(record: dict) -> RunResult:
+    """Inverse of :func:`result_to_record`."""
     return RunResult(
         target=record["target"],
-        params=_params_from_json(record["params"]),
+        params=params_from_record(record["params"]),
         times=tuple(record["times_s"]),
         moved_bytes=int(record["moved_bytes"]),
         validated=bool(record["validated"]),
@@ -179,39 +196,6 @@ def _result_from_record(record: dict) -> RunResult:
         failure_kind=record.get("failure_kind", ""),
         detail=record.get("detail", {}) or {},
     )
-
-
-# Public aliases of the record codec. The scheduler's process backend
-# ships results and parameters across the worker pipe in exactly this
-# format: the JSON roundtrip is proven fingerprint-stable (it is what
-# journal resume relies on), which is what makes a process-backend
-# campaign byte-identical to a serial one.
-
-
-def params_to_record(p: TuningParameters) -> dict:
-    """Canonical JSON form of a parameter point (wire/journal format)."""
-    return _params_to_json(p)
-
-
-def params_from_record(record: dict) -> TuningParameters:
-    """Inverse of :func:`params_to_record`."""
-    return _params_from_json(record)
-
-
-def result_to_record(r: RunResult, *, detail: bool = True) -> dict:
-    """Canonical JSON form of a result (wire/journal format).
-
-    With ``detail=True`` (the default here, unlike the compact
-    :func:`save_results` files) the record reconstructs a result whose
-    :meth:`~repro.core.results.RunResult.fingerprint` equals the
-    original's.
-    """
-    return _result_to_record(r, detail=detail)
-
-
-def result_from_record(record: dict) -> RunResult:
-    """Inverse of :func:`result_to_record`."""
-    return _result_from_record(record)
 
 
 def save_results(results: Iterable[RunResult], path: str | Path) -> int:
@@ -224,7 +208,7 @@ def save_results(results: Iterable[RunResult], path: str | Path) -> int:
     count = 0
     with path.open("a") as fh:
         for r in results:
-            fh.write(json.dumps(_result_to_record(r)) + "\n")
+            fh.write(json.dumps(result_to_record(r)) + "\n")
             count += 1
     return count
 
@@ -245,7 +229,7 @@ def load_results(path: str | Path) -> ResultSet:
             raise BenchmarkError(
                 f"{path}:{lineno}: unsupported schema {record.get('schema')!r}"
             )
-        out.add(_result_from_record(record))
+        out.add(result_from_record(record))
     return out
 
 
@@ -263,7 +247,7 @@ def point_fingerprint(target: str, params: TuningParameters) -> str:
     decisions from.
     """
     payload = json.dumps(
-        {"target": target, "params": _params_to_json(params)}, sort_keys=True
+        {"target": target, "params": params_to_record(params)}, sort_keys=True
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -274,7 +258,7 @@ def point_fingerprint(target: str, params: TuningParameters) -> str:
 def _journal_core(key: str, result: RunResult) -> dict:
     """The v2 record *before* framing: the :func:`save_results` fields
     plus the point key and the measurement fingerprint."""
-    record = _result_to_record(result, detail=True)
+    record = result_to_record(result, detail=True)
     record["schema"] = JOURNAL_SCHEMA
     record["point"] = key
     record["fingerprint"] = result.fingerprint()
@@ -375,7 +359,7 @@ def _classify_line(
         return _Entry(file, lineno, raw, "corrupt", err)
     try:
         key = record["point"]
-        result = _result_from_record(record)
+        result = result_from_record(record)
     except (ValueError, KeyError, TypeError) as exc:
         return _Entry(file, lineno, raw, "corrupt", f"unreconstructable ({exc})")
     if record.get("fingerprint") != result.fingerprint():

@@ -107,7 +107,16 @@ def reference(
 
     ``touched_words`` limits the updated region (the 2-D variants may
     not cover a ragged tail of the allocation); untouched words keep
-    their prior values.
+    their prior values. ``arrays`` is not mutated, and dtype semantics
+    (int32/float32/float64 arithmetic) follow the input arrays.
+
+    Association order is part of the contract, because differential
+    verification treats this function as ground truth. Each kernel is
+    one elementwise NumPy expression evaluated in source order:
+    ``TRIAD`` is ``b + (q * c)``, one rounding per operation and **no**
+    fused multiply-add. The oclc interpreter evaluates the generated
+    OpenCL-C the same way, which is why the pinned ULP budgets in
+    :mod:`repro.verify.tolerance` can be tight.
     """
     out = {k: v.copy() for k, v in arrays.items()}
     n = touched_words if touched_words is not None else len(out["a"])

@@ -64,7 +64,6 @@ from ...obs import trace as obs_trace
 from ..history import SweepJournal, point_fingerprint
 from ..params import TuningParameters
 from ..results import ResultSet, RunResult
-from ..runner import BenchmarkRunner
 from .executors import BACKENDS, Executor, Task, make_executor
 
 __all__ = ["CampaignScheduler"]
@@ -84,11 +83,10 @@ class CampaignScheduler:
 
     def __init__(
         self,
-        runner: object,
+        engine: object,
         *,
         backend: str | None = None,
         jobs: int = 1,
-        watchdog: object | None = None,
         journal: SweepJournal | str | Path | None = None,
         resume: bool = False,
         resume_or_start: bool = False,
@@ -109,10 +107,9 @@ class CampaignScheduler:
             raise SweepError(
                 f"unknown execution backend {backend!r}; valid: {', '.join(BACKENDS)}"
             )
-        self.engine = runner.engine if isinstance(runner, BenchmarkRunner) else runner
+        self.engine = engine
         self.backend = backend
         self.jobs = jobs
-        self.watchdog = watchdog
         if journal is not None and not isinstance(journal, SweepJournal):
             journal = SweepJournal(journal)
         if journal is not None and journal.faults is None:
@@ -248,9 +245,7 @@ class CampaignScheduler:
                 jobs=self.jobs,
             ):
                 if queue:
-                    with executor.session(
-                        self.engine, watchdog=self.watchdog
-                    ) as session:
+                    with executor.session(self.engine) as session:
                         self._session = session
                         for task in queue:
                             session.submit(task)

@@ -68,7 +68,7 @@ from ..history import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..engine import ExecutionEngine, Watchdog, WorkerSpec
+    from ..engine import ExecutionEngine, WorkerSpec
     from ..params import TuningParameters
     from ..results import RunResult
 
@@ -155,7 +155,7 @@ def _injected_crash(engine: object, task: Task) -> bool:
 class Executor:
     """Protocol for campaign execution backends.
 
-    ``session(engine, watchdog=...)`` returns a context manager whose
+    ``session(engine)`` returns a context manager whose
     value exposes two methods:
 
     ``submit(task)``
@@ -182,7 +182,7 @@ class Executor:
     name: str = "?"
     jobs: int = 1
 
-    def session(self, engine: object, *, watchdog: "Watchdog | None" = None):
+    def session(self, engine: object):
         raise NotImplementedError
 
 
@@ -210,14 +210,13 @@ class SerialExecutor(Executor):
     name = "serial"
     jobs = 1
 
-    def session(self, engine: object, *, watchdog: "Watchdog | None" = None):
-        return _SerialSession(engine, watchdog)
+    def session(self, engine: object):
+        return _SerialSession(engine)
 
 
 class _SerialSession(_SessionBase):
-    def __init__(self, engine: object, watchdog: "Watchdog | None"):
+    def __init__(self, engine: object):
         self._engine = engine
-        self._watchdog = watchdog
         self._tasks: deque[Task] = deque()
 
     def submit(self, task: Task) -> None:
@@ -230,7 +229,7 @@ class _SerialSession(_SessionBase):
         if _injected_crash(self._engine, task):
             return Outcome.crash(task)
         try:
-            result = self._engine.run(task.params, watchdog=self._watchdog)  # type: ignore[attr-defined]
+            result = self._engine.run(task.params)  # type: ignore[attr-defined]
         except Exception as exc:
             return Outcome.bug(task, f"{type(exc).__name__}: {exc}", exc)
         return Outcome.done(task, result)
@@ -289,7 +288,6 @@ def _stats_delta(current: dict, last: dict) -> dict:
 def _process_worker_main(
     conn: "multiprocessing.connection.Connection",
     spec: "WorkerSpec",
-    watchdog: "Watchdog | None",
     telemetry: bool,
     parent_pid: int,
 ) -> None:
@@ -365,7 +363,7 @@ def _process_worker_main(
             ):
                 os._exit(CRASH_EXIT_CODE)
             try:
-                result = engine.run(params, watchdog=watchdog)
+                result = engine.run(params)
             except Exception as exc:
                 delta, batch = flush()
                 conn.send(
@@ -405,7 +403,7 @@ class ProcessExecutor(Executor):
             raise SweepError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
 
-    def session(self, engine: object, *, watchdog: "Watchdog | None" = None):
+    def session(self, engine: object):
         spec_of = getattr(engine, "worker_spec", None)
         if spec_of is None:
             raise SweepError(
@@ -416,7 +414,6 @@ class ProcessExecutor(Executor):
         return _ProcessSession(
             engine,
             spec_of(),
-            watchdog,
             self.jobs,
             multiprocessing.get_context("fork" if "fork" in methods else "spawn"),
         )
@@ -443,13 +440,11 @@ class _ProcessSession(_SessionBase):
         self,
         engine: "ExecutionEngine",
         spec: "WorkerSpec",
-        watchdog: "Watchdog | None",
         jobs: int,
         ctx,
     ):
         self._engine = engine
         self._spec = spec
-        self._watchdog = watchdog
         self._ctx = ctx
         self._pending: deque[Task] = deque()
         # decided once per session: workers buffer and relay telemetry
@@ -467,13 +462,7 @@ class _ProcessSession(_SessionBase):
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_process_worker_main,
-            args=(
-                child_conn,
-                self._spec,
-                self._watchdog,
-                self._telemetry,
-                os.getpid(),
-            ),
+            args=(child_conn, self._spec, self._telemetry, os.getpid()),
             daemon=True,
         )
         proc.start()
@@ -545,10 +534,7 @@ class _ProcessSession(_SessionBase):
         """Fold one message's stats delta and telemetry batch home."""
         stats = getattr(self._engine, "stats", None)
         if stats is not None and stats_delta:
-            # the relayed batch already carries the worker's own metric
-            # counts, so mirroring the delta into the registry as well
-            # would double-count them
-            stats.merge_snapshot(stats_delta, mirror_metrics=not self._telemetry)
+            stats.merge_snapshot(stats_delta)
         if self._telemetry:
             obs_relay.merge_batch(batch, worker=worker.name)
 

@@ -31,7 +31,6 @@ from ..engine import ExecutionEngine, _StageClock
 from ..generator import generate
 from ..kernels import KERNELS
 from ..params import StreamLocus, TuningParameters
-from ..runner import BenchmarkRunner
 
 __all__ = ["LowFidelityScorer"]
 
@@ -45,8 +44,7 @@ class LowFidelityScorer:
     memoized per exact point.
     """
 
-    def __init__(self, runner: "BenchmarkRunner | ExecutionEngine"):
-        engine = runner.engine if isinstance(runner, BenchmarkRunner) else runner
+    def __init__(self, engine: ExecutionEngine):
         self.engine = engine
         self.device = engine.device
         self._memo: dict[TuningParameters, Optional[float]] = {}

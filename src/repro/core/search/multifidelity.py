@@ -48,7 +48,6 @@ from ..engine import ExecutionEngine
 from ..history import SweepJournal
 from ..params import TuningParameters
 from ..results import ResultSet, RunResult
-from ..runner import BenchmarkRunner
 from ..scheduler import CampaignScheduler
 from ..sweep import ParameterSweep
 from .lowfi import LowFidelityScorer
@@ -153,7 +152,7 @@ def promote(
 
 
 def multifidelity_search(
-    runner: BenchmarkRunner | ExecutionEngine,
+    runner: ExecutionEngine,
     axes: Mapping[str, Sequence[object]],
     *,
     seed: TuningParameters | None = None,

@@ -4,8 +4,8 @@ The point of MP-STREAM is not one number but a *campaign*: a cartesian
 sweep over tuning axes per target, tolerant of per-point failures (an
 FPGA configuration that doesn't fit is a data point, not a crash).
 :class:`ParameterSweep` builds the grid; :func:`explore` runs it and
-returns a :class:`~repro.core.results.ResultSet`; :func:`best_configuration`
-is the simple automated-DSE entry point the paper motivates.
+returns a :class:`~repro.core.results.ResultSet`, whose
+:meth:`~repro.core.results.ResultSet.best` is the winning configuration.
 
 Execution is delegated to the campaign scheduler
 (:mod:`repro.core.scheduler`): :func:`explore` builds the grid and
@@ -22,7 +22,7 @@ Resilience: pass ``journal=`` to stream every completed point to a
 :class:`~repro.core.history.SweepJournal` as it finishes, and
 ``resume=True`` to skip points the journal already holds (matched by
 parameter fingerprint) — a campaign killed mid-sweep restarts where it
-died and produces byte-identical results. A
+died and produces byte-identical results. The engine's
 :class:`~repro.core.engine.Watchdog` bounds each point so one runaway
 configuration degrades to a ``"timeout"`` data point instead of
 hanging the pool. A *worker death* mid-point (injectable via the
@@ -54,14 +54,13 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from ..errors import SweepError
-from .engine import ExecutionEngine, Watchdog
+from .engine import ExecutionEngine
 from .history import SweepJournal
 from .params import TuningParameters
 from .results import ResultSet, RunResult
-from .runner import BenchmarkRunner
 from .scheduler import CampaignScheduler
 
-__all__ = ["ParameterSweep", "explore", "best_configuration"]
+__all__ = ["ParameterSweep", "explore"]
 
 
 @dataclass
@@ -108,13 +107,12 @@ class ParameterSweep:
 
 
 def explore(
-    runner: BenchmarkRunner | ExecutionEngine,
+    runner: ExecutionEngine,
     sweep: ParameterSweep,
     *,
     jobs: int = 1,
     backend: str | None = None,
     progress: Callable[[RunResult], None] | None = None,
-    watchdog: Watchdog | None = None,
     journal: SweepJournal | str | Path | None = None,
     resume: bool = False,
     resume_or_start: bool = False,
@@ -137,9 +135,10 @@ def explore(
     locking, and one that raises is logged as a ``progress_error``
     event rather than killing the campaign).
 
-    ``watchdog`` bounds each point's wall/virtual time (recorded as a
-    ``"timeout"`` failure on breach). ``journal`` streams every
-    completed point — failures included, they are data — to a JSONL
+    The engine's ``watchdog`` bounds each point's wall/virtual time
+    (recorded as a ``"timeout"`` failure on breach). ``journal``
+    streams every completed point — failures included, they are data —
+    to a JSONL
     :class:`~repro.core.history.SweepJournal`; with ``resume=True``,
     points whose parameter fingerprint the journal already holds are
     restored instead of re-executed (and counted in
@@ -161,7 +160,6 @@ def explore(
         runner,
         backend=backend,
         jobs=jobs,
-        watchdog=watchdog,
         journal=journal,
         resume=resume,
         resume_or_start=resume_or_start,
@@ -172,14 +170,3 @@ def explore(
     points = list(sweep.points())
     return scheduler.run(points, skipped=len(sweep.skipped))
 
-
-def best_configuration(
-    runner: BenchmarkRunner | ExecutionEngine,
-    sweep: ParameterSweep,
-    *,
-    jobs: int = 1,
-    backend: str | None = None,
-) -> tuple[RunResult | None, ResultSet]:
-    """Automated DSE: run the sweep, return (winner, full results)."""
-    results = explore(runner, sweep, jobs=jobs, backend=backend)
-    return results.best(), results

@@ -8,14 +8,18 @@ users can sanity-check the simulated numbers against a live machine.
 
 from __future__ import annotations
 
-from .reference import expected_scalars, stream_reference
-from .stream import HostStreamResult, checktick, classic_report, run_host_stream
+from .stream import (
+    HostStreamResult,
+    checktick,
+    classic_report,
+    expected_scalars,
+    run_host_stream,
+)
 
 __all__ = [
     "HostStreamResult",
     "run_host_stream",
     "checktick",
     "classic_report",
-    "stream_reference",
     "expected_scalars",
 ]

@@ -17,11 +17,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.kernels import SCALAR_Q
 from ..core.params import KernelName
 from ..errors import BenchmarkError, ValidationError
 from ..units import MIB, bandwidth_gbs, format_bandwidth, format_size
 
-__all__ = ["HostStreamResult", "run_host_stream", "checktick", "classic_report"]
+__all__ = [
+    "HostStreamResult",
+    "run_host_stream",
+    "checktick",
+    "classic_report",
+    "expected_scalars",
+]
+
+
+def expected_scalars(q: float = float(SCALAR_Q)) -> tuple[float, float, float]:
+    """Final (a, b, c) scalar values after one COPY→SCALE→ADD→TRIAD pass.
+
+    STREAM's arrays start constant (a=1, b=2, c=0) and each kernel maps
+    constants to constants, so the whole sequence reduces to scalar
+    recurrences — stream.c validates exactly this way.
+    """
+    ea, eb, ec = 1.0, 2.0, 0.0
+    ec = ea  # copy
+    eb = q * ec  # scale
+    ec = ea + eb  # add
+    ea = eb + q * ec  # triad
+    return ea, eb, ec
 
 
 def checktick(samples: int = 20) -> float:
@@ -113,8 +135,6 @@ def run_host_stream(
     # stream.c-style solution check: the arrays hold the values the
     # kernel sequence implies (each kernel ran warm-up + ntimes with
     # constant-valued arrays, so scalars suffice)
-    from .reference import expected_scalars
-
     ea, eb, ec = expected_scalars(float(q))
     for name, arr, want in (("a", a, ea), ("b", b, eb), ("c", c, ec)):
         if dt.kind == "f":

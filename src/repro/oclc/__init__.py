@@ -24,7 +24,6 @@ from typing import Mapping
 
 from .analysis import KernelIR, LoopMode, MemAccess, analyze, index_stream
 from .cast import TranslationUnit, to_source
-from .fold import fold_expr, fold_stmt, fold_unit
 from .interp import BufferArg, KernelInterpreter, run_kernel
 from .lexer import tokenize
 from .parser import parse
@@ -54,9 +53,6 @@ __all__ = [
     "MemAccess",
     "TranslationUnit",
     "to_source",
-    "fold_unit",
-    "fold_expr",
-    "fold_stmt",
     "index_stream",
 ]
 

@@ -314,6 +314,7 @@ class _Checker:
                     )
                 return base
             if expr.op == "!":
+                self._scalar_logic("!", base, expr.line)
                 return T.INT
             if expr.op == "~" and not base.is_integer():
                 raise SemanticError("~ needs an integer operand", line=expr.line)
@@ -393,8 +394,19 @@ class _Checker:
             f"unhandled expression {type(expr).__name__}", line=expr.line
         )
 
+    @staticmethod
+    def _scalar_logic(op: str, operand: T.Type, line: int) -> None:
+        # OpenCL's component-wise -1/0 result is not implemented
+        if isinstance(operand, T.VectorType):
+            raise SemanticError(
+                f"operator {op} on vector type {operand} is not supported",
+                line=line,
+            )
+
     def _binary_type(self, op: str, left: T.Type, right: T.Type, line: int) -> T.Type:
         if op in ("&&", "||"):
+            self._scalar_logic(op, left, line)
+            self._scalar_logic(op, right, line)
             return T.INT
         if op in ("==", "!=", "<", ">", "<=", ">="):
             try:

@@ -179,10 +179,10 @@ class SpecializedKernel:
         it is (re)assigned inside the body* depends on the previous
         iteration. The one shape we can vectorize exactly is a **sum
         reduction** (``acc = acc + <expr>`` / ``acc += <expr>`` where
-        ``acc`` appears nowhere else in the body): integer sums are
-        associative mod 2^width, and float sums match the sequential
-        result to validation tolerance. Anything else is refused so the
-        caller falls back to the interpreter.
+        ``acc`` appears nowhere else in the body), which the array lane
+        adds one item at a time in the interpreter's order
+        (:func:`reduce_sum`), bit for bit. Anything else is refused so
+        the caller falls back to the interpreter.
         """
         outer_names = {d.name for d in self._body.outer_decls}
 
@@ -407,14 +407,16 @@ def apply_math(name: str, args: list[object], ty: T.Type) -> object:
 
 
 def reduce_sum(init: object, value: object) -> object:
-    """Vectorized sum reduction step; wraps exactly like sequential ints."""
-    value = np.asarray(value)
+    """``init`` plus each item of ``value`` along axis 0, in order.
+
+    One addition at a time in the accumulator's dtype, as the
+    interpreter adds, so integers wrap and floats round exactly as it
+    does (a pairwise ``sum`` would round differently).
+    """
+    init = np.asarray(init)
+    steps = np.concatenate([init[None], np.asarray(value, dtype=init.dtype)])
     with np.errstate(over="ignore", invalid="ignore"):
-        total = value.sum(axis=0, dtype=value.dtype)
-        result = np.asarray(init) + total
-    dtype = np.asarray(init).dtype
-    with np.errstate(over="ignore", invalid="ignore"):
-        return result.astype(dtype) if result.dtype != dtype else result
+        return np.add.accumulate(steps, axis=0, dtype=init.dtype)[-1]
 
 
 def launch_domain(ir: KernelIR, n_items: int) -> list[tuple[str, range]]:

@@ -51,7 +51,11 @@ overlap, no loop-carried state beyond sum reductions — see
 * no kernel argument may alias another in a way that crosses the
   read/write split (checked per launch with ``np.may_share_memory`` —
   slice and strided loads are *views*, so an aliased store could feed a
-  later load).
+  later load);
+* two stores into one buffer must cover disjoint element ranges
+  (checked per plan from each site's extremes): this lane runs one
+  statement over the whole domain before the next, where the
+  interpreter interleaves them per work-item.
 
 Anything else raises :class:`~repro.errors.UnsupportedKernelError`, and
 the caller (:meth:`repro.ocl.queue.CommandQueue._execute`) runs the
@@ -717,6 +721,7 @@ class VectorKernel:
             idx = np.asarray(self._sites[i].index(pctx), dtype=np.int64)
             sel[i] = idx if idx.ndim else int(idx)
             extremes[i] = (int(idx.min()), int(idx.max())) if idx.size else (0, -1)
+        stored: list[tuple[_Site, int, int]] = []
         for site, (lo, hi) in zip(self._sites, extremes):
             size = sizes[site.param]
             width = site.width or 1
@@ -729,6 +734,21 @@ class VectorKernel:
                 raise UnsupportedKernelError(
                     f"out-of-bounds access to {site.param!r} at line {site.line}"
                 )
+            if not site.store or lo > hi:
+                continue
+            # statements run one after another over the whole domain,
+            # but the interpreter interleaves them per work-item: two
+            # stores may share a buffer only where they cannot meet
+            first, last = lo * width, (hi + 1) * width - 1
+            for other, other_first, other_last in stored:
+                if other.param == site.param and (
+                    first <= other_last and other_first <= last
+                ):
+                    raise UnsupportedKernelError(
+                        f"stores to {site.param!r} at lines {other.line} and "
+                        f"{site.line} overlap; their order is per work-item"
+                    )
+            stored.append((site, first, last))
         obs_metrics.count(
             "fastpath.sites.closed_form", len(self._sites) - len(materialized)
         )
@@ -934,11 +954,19 @@ class _Compiler:
         return run_init
 
     def reduction(self, var: str, value_expr: cast.Expr, ty: T.Type) -> _StmtFn:
-        """``var += value`` over the domain, as one sum along it.
+        """``var += value`` over the domain, one item at a time.
 
-        A value one for all work-items refuses: the interpreter adds it
-        once per work-item, wrapping or rounding at each step.
+        A value one for all work-items refuses, and so does a float sum
+        whose items have another element type than ``var``: the
+        interpreter adds each such item in the pair's common type and
+        rounds every step to ``var``'s.
         """
+        item = self.program.type_of(value_expr)
+        floats = ty.is_float() or item.is_float()
+        if floats and item.dtype != ty.dtype:  # type: ignore[union-attr]
+            raise UnsupportedKernelError(
+                f"sum reduction of {item} items into {ty} {var!r}"
+            )
         self._reads_value(var)
         value = self.typed(value_expr, ty)
         vector = isinstance(ty, T.VectorType)

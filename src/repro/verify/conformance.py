@@ -5,8 +5,8 @@ the generated OpenCL-C is re-executed through the oclc *interpreter* —
 a sequential semantic reference that shares nothing with the
 array lane the simulated devices run — and compared
 element-exact (int) or ULP-bounded (float/double, budgets pinned in
-:mod:`repro.verify.tolerance`) against the NumPy host-stream reference
-(:func:`repro.hoststream.stream_reference`). On top of single points,
+:mod:`repro.verify.tolerance`) against the NumPy STREAM reference
+(:func:`repro.core.kernels.reference`). On top of single points,
 :func:`check_variants` asserts that *all* vector-width / unroll /
 loop-management / access-pattern variants of the same
 ``(kernel, dtype, size)`` agree with each other and with the reference:
@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..core.generator import generate
-from ..core.kernels import KERNELS, SCALAR_Q, initial_arrays
+from ..core.kernels import KERNELS, SCALAR_Q, initial_arrays, reference
 from ..core.params import (
     VECTOR_WIDTHS,
     AccessPattern,
@@ -44,7 +44,6 @@ from ..core.params import (
     TuningParameters,
 )
 from ..errors import BenchmarkError, SweepError
-from ..hoststream.reference import stream_reference
 from ..oclc import compile_source_cached
 from ..oclc.interp import BufferArg, run_kernel
 from .tolerance import ULP_TOLERANCE, max_ulp_diff
@@ -154,7 +153,7 @@ def _judge(
     gen = generate(params)
     if initial is None:
         initial = initial_arrays(params.word_count, params.dtype)
-    expected = stream_reference(
+    expected = reference(
         params.kernel, dict(initial), touched_words=gen.touched_words
     )
     got = interpret_point(params, initial=initial)
@@ -336,7 +335,7 @@ def verify_device_outputs(
     """
     initial = initial_arrays(params.word_count, params.dtype)
     touched = getattr(gen, "touched_words", None)
-    expected = stream_reference(params.kernel, initial, touched_words=touched)
+    expected = reference(params.kernel, initial, touched_words=touched)
     if params.word_count <= INTERP_WORD_LIMIT:
         mode = "differential"
         derived = interpret_point(params, initial=initial)

@@ -15,8 +15,8 @@ The generated STREAM kernels are single elementwise expressions
 (``TRIAD`` is ``a[i] = b[i] + q * c[i]``). The oclc interpreter
 evaluates binary operators as per-element NumPy ufuncs in source
 association — ``np.add(b_val, np.multiply(q, c_val))`` — with one
-rounding per operation and no fused multiply-add. The NumPy host-stream
-reference (:func:`repro.hoststream.stream_reference`) computes
+rounding per operation and no fused multiply-add. The NumPy STREAM
+reference (:func:`repro.core.kernels.reference`) computes
 ``b[:n] + q * c[:n]``: the *same* association and the same IEEE-754
 rounding per element. The two are therefore bitwise identical today —
 0 ULPs observed across kernels, dtypes and vector widths. The budgets

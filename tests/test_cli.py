@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -362,6 +364,18 @@ class TestResilienceFlags:
                                   "--retries", "0", "--point-timeout", "0.2"])
         assert code == 0
         assert "timeout" in capsys.readouterr().out
+
+    def test_point_timeout_reaches_process_workers(self, capsys):
+        # the engine's watchdog is the only budget; pool workers get it
+        # through their WorkerSpec, so a stalled point still times out
+        code = main(self.SWEEP + ["--jobs", "2", "--backend", "process",
+                                  "--inject-faults", "stall=1.0,stall_s=30",
+                                  "--retries", "0", "--point-timeout", "0.2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "(process backend)" in out
+        assert out.count("FAILED (PointTimeoutError") == 2
+        assert re.search(r"^timeout +2 ", out, re.MULTILINE), out
 
     def test_journal_then_resume(self, tmp_path, capsys):
         journal = tmp_path / "campaign.jsonl"

@@ -341,7 +341,7 @@ class TestParallelExplore:
         runner = BenchmarkRunner("cpu", ntimes=1)
         for campaigns in (1, 2):
             explore(runner, self._sweep(), jobs=2, backend="process")
-            stats = runner.engine.stats_snapshot()
+            stats = runner.stats_snapshot()
             executed = 12 * campaigns
             assert stats["points"] == executed
             assert stats["frontend_hits"] + stats["frontend_misses"] == executed

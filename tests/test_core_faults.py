@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_mod
 from repro.core import (
     BenchmarkRunner,
     ExecutionEngine,
@@ -34,6 +35,12 @@ from repro.faults import (
 from repro.units import KIB
 
 SMALL = TuningParameters(array_bytes=32 * KIB)
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Retry at once: the tests below check retry outcomes, not delays."""
+    monkeypatch.setattr(engine_mod, "BACKOFF_S", 0.0)
 
 
 class TestFaultSpec:
@@ -119,13 +126,12 @@ class TestFaultPlan:
 
 
 class TestRetry:
-    def test_transient_launch_absorbed_and_instrumented(self):
+    def test_transient_launch_absorbed_and_instrumented(self, no_backoff):
         # launch=1.0 fires on every attempt; 3 retries means attempt 3
         # (the 4th) must run clean — so fire only on attempts 0-2 via a
         # plan whose rate is 1.0 but engine retries exceed the streak.
         plan = FaultPlan.parse("launch=0.7,seed=13")
-        engine = ExecutionEngine("cpu", ntimes=1, faults=plan, retries=8,
-                                 backoff_s=0.0)
+        engine = ExecutionEngine("cpu", ntimes=1, faults=plan, retries=8)
         result = engine.run(SMALL)
         assert result.ok
         eng = result.detail["engine"]
@@ -134,31 +140,28 @@ class TestRetry:
             assert eng["transient_errors"]
             assert engine.stats.snapshot()["retries"] == eng["attempts"] - 1
 
-    def test_retries_exhausted_records_failure_kind(self):
+    def test_retries_exhausted_records_failure_kind(self, no_backoff):
         plan = FaultPlan.parse("launch=1.0")
-        engine = ExecutionEngine("cpu", ntimes=1, faults=plan, retries=2,
-                                 backoff_s=0.0)
+        engine = ExecutionEngine("cpu", ntimes=1, faults=plan, retries=2)
         result = engine.run(SMALL)
         assert not result.ok
         assert result.failure_kind == "launch"
         assert result.detail["engine"]["attempts"] == 3
         assert len(result.detail["engine"]["transient_errors"]) == 2
 
-    def test_readback_corruption_is_transient(self):
+    def test_readback_corruption_is_transient(self, no_backoff):
         plan = FaultPlan.parse("readback=1.0")
-        engine = ExecutionEngine("cpu", ntimes=1, faults=plan, retries=1,
-                                 backoff_s=0.0)
+        engine = ExecutionEngine("cpu", ntimes=1, faults=plan, retries=1)
         result = engine.run(SMALL)
         assert not result.ok
         assert result.failure_kind == "validation"
         assert "Injected" in str(result.detail["engine"]["transient_errors"][0])
 
     def test_backoff_is_deterministic_and_capped(self):
-        engine = ExecutionEngine("cpu", ntimes=1, backoff_s=0.05,
-                                 backoff_cap_s=0.2)
+        engine = ExecutionEngine("cpu", ntimes=1)
         delays = [engine._backoff_delay("key", a) for a in range(8)]
         assert delays == [engine._backoff_delay("key", a) for a in range(8)]
-        assert all(0 < d <= 0.2 for d in delays)
+        assert all(0 < d <= engine_mod.BACKOFF_CAP_S for d in delays)
 
     def test_negative_retries_rejected(self):
         with pytest.raises(BenchmarkError, match="retries"):
@@ -170,7 +173,7 @@ class TestRetry:
         # cache must not have memoized the injected failure.
         faulty = ExecutionEngine("cpu", ntimes=1,
                                  faults=FaultPlan.parse("build=1.0"),
-                                 retries=0, backoff_s=0.0)
+                                 retries=0)
         bad = faulty.run(SMALL)
         assert not bad.ok and bad.failure_kind == "build"
         clean = ExecutionEngine("cpu", ntimes=1, cache=faulty.cache)
@@ -204,13 +207,6 @@ class TestWatchdog:
         assert result.failure_kind == "timeout"
         assert "virtual budget" in result.error
 
-    def test_per_call_override(self):
-        engine = ExecutionEngine("cpu", ntimes=1,
-                                 faults=FaultPlan.parse("stall=1.0,stall_s=30"),
-                                 retries=0)
-        result = engine.run(SMALL, watchdog=Watchdog(wall_s=0.2))
-        assert result.failure_kind == "timeout"
-
     def test_failure_kind_mapping(self):
         assert failure_kind(PointTimeoutError("x")) == "timeout"
         assert failure_kind(None) == ""
@@ -218,12 +214,12 @@ class TestWatchdog:
 
 
 class TestFingerprintIdentity:
-    def test_faulty_run_matches_clean_run(self):
+    def test_faulty_run_matches_clean_run(self, no_backoff):
         # Transient faults that are fully absorbed by retries must not
         # leak into the measurement fingerprint.
         clean = ExecutionEngine("cpu", ntimes=1).run(SMALL)
         faulty = ExecutionEngine(
-            "cpu", ntimes=1, retries=10, backoff_s=0.0,
+            "cpu", ntimes=1, retries=10,
             faults=FaultPlan.parse("build=0.5,launch=0.5,seed=3"),
         ).run(SMALL)
         assert faulty.ok
@@ -258,7 +254,7 @@ class TestJournal:
         # simulate a kill after the first point: journal holds one record
         journal = SweepJournal(path)
         engine = BenchmarkRunner("cpu", ntimes=1,
-                                 faults=FaultPlan.parse(faults)).engine
+                                 faults=FaultPlan.parse(faults))
         points = list(_sweep().points())
         journal.record(point_fingerprint("cpu", points[0]),
                        engine.run(points[0]))
@@ -333,8 +329,8 @@ class TestVerifyFaultSite:
         # the verify site corrupts the *re-derived* side, so STREAM
         # validation stays green and only the verify stage can catch it
         plan = FaultPlan.parse("verify=1.0,seed=7")
-        engine = ExecutionEngine("cpu", ntimes=1, verify=True, validate=True,
-                                 faults=plan, retries=2, backoff_s=0.0)
+        engine = ExecutionEngine("cpu", ntimes=1, verify=True,
+                                 faults=plan, retries=2)
         result = engine.run(SMALL)  # returned, not raised
         assert not result.ok
         assert result.failure_kind == "verify_mismatch"
@@ -394,7 +390,7 @@ class TestVerifyResume:
         points = list(_sweep().points())
         journal.record(
             point_fingerprint("cpu", points[0]),
-            self._runner().engine.run(points[0]),
+            self._runner().run(points[0]),
         )
         resumed = explore(
             self._runner(), _sweep(), journal=SweepJournal(path), resume=True
@@ -415,7 +411,7 @@ class TestVerifyResume:
         points = list(_sweep().points())
         journal.record(
             point_fingerprint("cpu", points[0]),
-            self._runner(faults).engine.run(points[0]),
+            self._runner(faults).run(points[0]),
         )
         resumed = explore(
             self._runner(faults),
@@ -440,7 +436,7 @@ class TestWorkerCrash:
     def test_crash_cancels_pool_and_names_point(self, monkeypatch):
         # a real engine, so the pool can rebuild it in each worker; the
         # forked workers inherit the patched run()
-        def bomb(self, params, *, watchdog=None):
+        def bomb(self, params):
             raise RuntimeError("engine bug")
 
         monkeypatch.setattr(ExecutionEngine, "run", bomb)

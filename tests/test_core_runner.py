@@ -8,6 +8,7 @@ from repro.core import (
     AccessPattern,
     BenchmarkRunner,
     DataType,
+    ExecutionEngine,
     KernelName,
     LoopManagement,
     StreamLocus,
@@ -15,6 +16,11 @@ from repro.core import (
 )
 from repro.errors import BenchmarkError
 from repro.units import KIB, MIB
+
+
+def test_runner_is_the_engine():
+    # one object to configure and call, not a facade over a second one
+    assert BenchmarkRunner is ExecutionEngine
 
 
 class TestDeviceStream:
@@ -76,9 +82,11 @@ class TestDeviceStream:
         with pytest.raises(BenchmarkError):
             BenchmarkRunner("cpu", ntimes=0)
 
-    def test_validation_can_be_disabled(self, small_params):
-        result = BenchmarkRunner("cpu", ntimes=1, validate=False).run(small_params)
-        assert result.ok and not result.validated
+    def test_validation_cannot_be_disabled(self, small_params):
+        # stream.c checks every run's arrays; so does every point here
+        assert BenchmarkRunner("cpu", ntimes=1).run(small_params).validated
+        with pytest.raises(TypeError, match="validate"):
+            BenchmarkRunner("cpu", ntimes=1, validate=False)
 
     def test_times_are_warm(self):
         """Warm-up absorbs the first-launch migration: repetition times

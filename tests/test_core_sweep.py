@@ -7,7 +7,6 @@ from repro.core import (
     LoopManagement,
     ParameterSweep,
     TuningParameters,
-    best_configuration,
     explore,
 )
 from repro.units import KIB
@@ -43,7 +42,7 @@ class TestExplore:
         results = explore(runner, sweep)
         assert len(results) == 2  # both points attempted
 
-    def test_best_configuration_dse(self):
+    def test_explore_best_dse(self):
         """The automated-DSE loop the paper motivates: vectorization wins
         on the FPGA target."""
         runner = BenchmarkRunner("aocl", ntimes=1)
@@ -51,7 +50,8 @@ class TestExplore:
             base=TuningParameters(array_bytes=256 * KIB, loop=LoopManagement.FLAT),
             axes={"vector_width": [1, 4, 16]},
         )
-        best, results = best_configuration(runner, sweep)
+        results = explore(runner, sweep)
+        best = results.best()
         assert best is not None
         assert best.params.vector_width == 16
         assert len(results) == 3

@@ -99,7 +99,7 @@ class TestV2Format:
         path = tmp_path / "j.jsonl"
         _write_journal(path, sample[1:])
         key, result = sample[0]
-        record = history._result_to_record(result, detail=True)
+        record = history.result_to_record(result, detail=True)
         record.update(schema=1, point=key, fingerprint=result.fingerprint())
         v1_line = json.dumps(record, sort_keys=True)
         with path.open("a") as fh:
@@ -294,7 +294,7 @@ class TestRotationAndCompaction:
         journal = _write_journal(path, sample, rotate_records=2)
         key0, result0 = sample[0]
         journal.record(key0, result0)  # duplicate key: latest must win
-        record = history._result_to_record(result0, detail=True)
+        record = history.result_to_record(result0, detail=True)
         record.update(schema=1, point="v1point", fingerprint=result0.fingerprint())
         with path.open("a") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")

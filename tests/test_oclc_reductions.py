@@ -1,10 +1,10 @@
 """Sum reductions in the array lane (dot products and friends).
 
-Float comparisons here pit one summation order against another (the
-array lane's partial-sum vectorization vs NumPy's pairwise ``dot`` or
-the interpreter's sequential loop), so they use the pinned reduction
-budget from :mod:`repro.verify.tolerance` instead of ad-hoc
-``pytest.approx`` epsilons.
+The array lane adds a reduction's items one at a time, in the
+interpreter's order, so the two agree bit for bit. Float comparisons
+against NumPy (whose pairwise ``sum``/``dot`` is another summation
+order) use the pinned reduction budget from :mod:`repro.verify.tolerance`
+instead of ad-hoc ``pytest.approx`` epsilons.
 """
 
 from __future__ import annotations
@@ -66,7 +66,26 @@ class TestReductions:
         run_kernel(
             p, "dot_k", (1,), {"a": BufferArg(a), "b": BufferArg(b), "c": BufferArg(c_ref)}
         )
-        assert_reduction_close(c_fast[0], c_ref[0], terms=128)
+        assert c_fast.tobytes() == c_ref.tobytes()
+
+    def test_float_sum_bit_identical_to_interpreter(self):
+        # a pairwise sum gives -48.02827 here, the sequential one -48.028275
+        src = """
+__kernel void sum_k(__global const float *a, __global float *c) {
+    float acc = 0.0f;
+    for (int i = 0; i < 1000; i++)
+        acc += a[i];
+    c[0] = acc;
+}
+"""
+        p = compile_source(src)
+        a = np.random.default_rng(0).standard_normal(1000).astype(np.float32)
+        fast = np.zeros(1, np.float32)
+        ref = np.zeros(1, np.float32)
+        vectorize_kernel(p).run((1,), {"a": BufferArg(a), "c": BufferArg(fast)})
+        run_kernel(p, "sum_k", (1,), {"a": BufferArg(a), "c": BufferArg(ref)})
+        assert fast.tobytes() == ref.tobytes()
+        assert fast[0] != a.sum(dtype=np.float32)  # the pairwise order differs
 
     def test_assignment_form(self):
         src = """
@@ -177,6 +196,20 @@ __kernel void k(__global const int *a, __global int *c) {
 """
         with pytest.raises(UnsupportedKernelError):
             specialize(compile_source(src))
+
+    def test_float_sum_of_another_type_refused(self):
+        # the interpreter adds each double item to the float and rounds,
+        # which no sum of float items reproduces
+        src = """
+__kernel void k(__global const double *a, __global float *c) {
+    float acc = 0.0f;
+    for (int i = 0; i < 8; i++)
+        acc += a[i];
+    c[0] = acc;
+}
+"""
+        with pytest.raises(UnsupportedKernelError, match="double items"):
+            vectorize_kernel(compile_source(src))
 
     def test_self_referencing_rhs_refused(self):
         src = """

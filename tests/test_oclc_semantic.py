@@ -93,6 +93,20 @@ class TestTyping:
                 "__kernel void f(__global int4 *a) { if (a[0]) a[1] = a[0]; }"
             )
 
+    @pytest.mark.parametrize("expr", ["!a[g]", "a[g] && 1", "1 || a[g]"])
+    def test_logical_operators_reject_vectors(self, expr):
+        # OpenCL gives a component-wise -1/0 vector, which neither the
+        # interpreter nor the array lane implements: refuse it here,
+        # not as a raw ValueError
+        src = (
+            "__kernel void f(__global const int4 *a, __global int *c) "
+            f"{{ int g = get_global_id(0); c[g] = {expr}; }}"
+        )
+        with pytest.raises(SemanticError, match="vector type int4"):
+            compile_source(src)
+        # the same operators on scalars still type as int
+        compile_source(src.replace("int4", "int"))
+
 
 class TestSymbols:
     def test_undeclared_identifier(self):

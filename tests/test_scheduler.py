@@ -264,7 +264,7 @@ class TestSchedulerPolicy:
         class BombEngine:
             target = "gpu"
 
-            def run(self, params, *, watchdog=None):
+            def run(self, params):
                 raise RuntimeError("engine bug")
 
         with pytest.raises(SweepError, match=r"grid point \d+ .*engine bug"):

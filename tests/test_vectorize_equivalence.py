@@ -223,13 +223,13 @@ class TestEngineLanes:
 
     @pytest.mark.parametrize("lane", ["vectorized", "interpreted"])
     def test_point_executes_its_kernel_once(self, monkeypatch, lane):
-        # all warmup + ntimes launches reach the queue and the model;
+        # all WARMUP + ntimes launches reach the queue and the model;
         # only the first runs the kernel body
         if lane == "interpreted":
             _refuse_array_lane(monkeypatch)
         reg = obs_metrics.MetricsRegistry()
         with obs_metrics.use_registry(reg):
-            result = _engine(warmup=1, ntimes=5).run(
+            result = _engine(ntimes=5).run(
                 TuningParameters(array_bytes=64 * KIB, vector_width=4)
             )
         assert result.ok and len(result.times) == 5
@@ -870,6 +870,42 @@ def test_queue_interprets_a_one_element_store():
     assert list(bufs["c"].view(np.int32)) == [10, 0, 0, 0]
 
 
+OVERLAPPING_STORES_SRC = """
+__kernel void k(__global const int *a, __global int *c) {
+    int i = get_global_id(0);
+    c[i] = a[i];
+    c[i + 1] = 10 * a[i];
+}
+"""
+
+
+def test_overlapping_stores_refuse_then_interpret():
+    # work-item i's second store lands where item i + 1's first does;
+    # statement by statement over the whole domain, the lane would
+    # leave [1, 10, 20, 30] where the interpreter leaves [1, 2, 3, 30]
+    program = compile_source(OVERLAPPING_STORES_SRC)
+    a = np.array([1, 2, 3, 4], dtype=np.int32)
+    want = np.zeros(4, dtype=np.int32)
+    run_kernel(program, "k", (3,), {"a": BufferArg(a), "c": BufferArg(want)})
+    assert list(want) == [1, 2, 3, 30]
+    with pytest.raises(UnsupportedKernelError, match="overlap"):
+        vectorize_kernel(program, "k").run(
+            (3,), {"a": BufferArg(a), "c": BufferArg(np.zeros(4, np.int32))}
+        )
+    queue, kernel, bufs = _queue_kernel(
+        OVERLAPPING_STORES_SRC, "k", a=a, c=np.zeros(4, dtype=np.int32)
+    )
+    reg = obs_metrics.MetricsRegistry()
+    with obs_metrics.use_registry(reg):
+        queue.enqueue_nd_range_kernel(kernel.set_args(**bufs), (3,))
+    assert np.array_equal(bufs["c"].view(np.int32), want)
+    assert reg.snapshot()["counters"].get("fastpath.runs.interpreted") == 1
+    # stores that cannot meet stay on the lane, whatever their order
+    disjoint = OVERLAPPING_STORES_SRC.replace("c[i + 1]", "c[i + 3]")
+    want, got, _ = _run_both(disjoint, 3, {"a": 3, "c": 6})
+    assert got is not None and np.array_equal(got["c"], want["c"])
+
+
 @pytest.mark.parametrize("acc, value", [("int", "3"), ("int4", "(int4)(1, 2, 3, 4)")])
 def test_sum_of_a_uniform_value_refuses(acc, value):
     # the interpreter adds the value once per iteration; the array lane
@@ -1116,7 +1152,7 @@ class TestVectorizeFaultSite:
         # strict differential verify stage can catch it — as a
         # permanent verify_mismatch, with no retry budget burned
         plan = FaultPlan.parse("vectorize=1.0,seed=7")
-        engine = _engine(ntimes=1, verify=True, validate=True, faults=plan)
+        engine = _engine(ntimes=1, verify=True, faults=plan)
         result = engine.run(SMALL)
         assert not result.ok
         assert result.failure_kind == "verify_mismatch"

@@ -236,7 +236,7 @@ def find_torn_seed(
     """
     if tear_at < 1:
         raise ValueError(f"tear_at must be >= 1, got {tear_at}")
-    engine_target = BenchmarkRunner(target, ntimes=1).engine.target
+    engine_target = BenchmarkRunner(target, ntimes=1).target
     points = list(_build_sweep(DEFAULT_SIZE, axes or DEFAULT_AXES).points())
     if tear_at >= len(points):
         raise ValueError(f"tear_at {tear_at} >= grid size {len(points)}")
