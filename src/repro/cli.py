@@ -22,6 +22,7 @@ from typing import Sequence
 from . import figures, obs
 from .core import (
     BACKENDS,
+    STAGES,
     AccessPattern,
     BenchmarkRunner,
     CampaignScheduler,
@@ -698,7 +699,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.journal
         else None
     )
-    with _obs_session(args) as session:
+    # the summary reads its totals from a registry, so a sweep always
+    # has one; only --metrics or --serve-obs make it print the table.
+    # An empty registry has length 0, so ``or`` would replace it.
+    with _obs_session(args) as session, obs.use_registry(
+        obs.MetricsRegistry() if session.registry is None else session.registry
+    ) as registry:
         reporter = obs.SweepProgress(total=len(sweep), verbosity=_verbosity(args))
         # the CLI is a scheduler client like explore(): the
         # scheduler handle is kept so crash/requeue counters can be shown
@@ -728,15 +734,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     for changes, reason in sweep.skipped:
         print(f"skipped {changes}: {reason}")
-    stats = runner.stats_snapshot()
-    stage_s = stats["stage_s"]
+    counters = registry.snapshot()["counters"]
     print(
         f"\n{len(results)} point(s) on {args.jobs} job(s) "
         f"({scheduler.backend_used} backend), "
         f"{len(sweep.skipped)} invalid point(s) skipped; "
-        f"cache: front-end {stats['frontend_hits']} hit"
-        f"/{stats['frontend_misses']} miss, "
-        f"plans {stats['plan_hits']} hit/{stats['plan_misses']} miss"
+        f"cache: front-end {counters.get('build_cache.frontend_hits', 0)} hit"
+        f"/{counters.get('build_cache.frontend_misses', 0)} miss, "
+        f"plans {counters.get('build_cache.plan_hits', 0)} hit"
+        f"/{counters.get('build_cache.plan_misses', 0)} miss"
     )
     if scheduler.crashes or scheduler.deduped or scheduler.progress_errors:
         print(
@@ -747,11 +753,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     print(
         "stage wall time: "
-        + ", ".join(f"{name} {stage_s[name]:.3f}s" for name in sorted(stage_s))
+        + ", ".join(
+            f"{name} {counters.get(f'engine.stage_s.{name}', 0):.3f}s"
+            for name in sorted(STAGES)
+        )
     )
     print(f"campaign: {campaign_status}")
-    if stats["retries"]:
-        print(f"transient retries: {stats['retries']}")
+    retries = counters.get("engine.retries", 0)
+    if retries:
+        print(f"transient retries: {retries}")
     if results.failure_kinds():
         print()
         print(failure_table(results))

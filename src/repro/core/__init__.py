@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..faults import FaultPlan, FaultSpec
 from ..ocl.program import BuildCache
-from .engine import STAGES, EngineStats, ExecutionEngine, Watchdog, WorkerSpec
+from .engine import STAGES, ExecutionEngine, Watchdog, WorkerSpec
 from .generator import GeneratedKernel, generate
 from .history import (
     JOURNAL_SCHEMA,
@@ -86,7 +86,6 @@ __all__ = [
     "generate",
     "BenchmarkRunner",
     "ExecutionEngine",
-    "EngineStats",
     "Watchdog",
     "WorkerSpec",
     "CampaignScheduler",

@@ -41,14 +41,15 @@ of times instead of 100.
 
 Every :class:`~repro.core.results.RunResult` carries per-point
 instrumentation under ``detail["engine"]``: per-stage wall seconds and
-the cache outcome of the compile and plan stages. Campaign-wide
-counters live on :attr:`ExecutionEngine.stats` /
-:meth:`ExecutionEngine.stats_snapshot`.
+the cache outcome of the compile and plan stages. Campaign-wide totals
+are counted once, in the active metrics registry (see Observability
+below); the engine keeps no counters of its own.
 
 Concurrency: one engine owns one context/queue and is *not* re-entrant.
 Parallel campaigns run on worker processes, each rebuilding a sibling
-from :meth:`worker_spec`; their stats, build-cache hits and misses
-included, fold back through :meth:`EngineStats.merge_snapshot`.
+from :meth:`worker_spec`; their counts, build-cache hits and misses
+included, reach the parent's registry through the telemetry relay
+(:mod:`repro.obs.relay`).
 
 Resilience: transient failures (marked with the
 :class:`~repro.errors.TransientError` mixin — injected by a
@@ -65,9 +66,9 @@ point as a ``"timeout"`` failure.
 Observability: every completed point, stage boundary and retry also
 reports into the process-wide :mod:`repro.obs` sinks when they are
 active — nested wall-clock trace spans (sweep → point → stage → queue
-command), metrics counters (``engine.points``, ``engine.stage_s.*``,
-``engine.retries``) and structured JSONL events keyed by the point
-fingerprint. Instrumentation is strictly observational:
+command), metrics counters (``engine.points``, ``engine.failures``,
+``engine.stage_s.*``, ``engine.retries``) and structured JSONL events
+keyed by the point fingerprint. Instrumentation is strictly observational:
 :meth:`~repro.core.results.RunResult.fingerprint` is byte-identical
 with the sinks on or off (see ``docs/OBSERVABILITY.md``).
 """
@@ -75,7 +76,6 @@ with the sinks on or off (see ``docs/OBSERVABILITY.md``).
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -98,7 +98,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..ocl import Buffer, CommandQueue, Context, Program
 from ..ocl.platform import Device, find_device
-from ..ocl.program import CACHE_COUNTERS, BuildCache, device_build
+from ..ocl.program import BuildCache, device_build
 from ..rng import make_rng
 from .generator import GeneratedKernel, generate
 from .history import point_fingerprint
@@ -112,7 +112,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..devices.specs import DeviceSpec
     from ..oclc import CheckedProgram
 
-__all__ = ["ExecutionEngine", "EngineStats", "Watchdog", "WorkerSpec", "STAGES"]
+__all__ = ["ExecutionEngine", "Watchdog", "WorkerSpec", "STAGES"]
 
 #: pipeline stage names, in order ("verify" only runs when enabled)
 STAGES = ("generate", "compile", "plan", "execute", "verify")
@@ -174,74 +174,6 @@ class _PointBudget:
         self.check_wall()
 
 
-class EngineStats:
-    """Campaign-wide stage timing and point counters.
-
-    Process-pool workers ship their increments home, build-cache
-    hits/misses (:attr:`cache_counts`) included, and
-    :meth:`merge_snapshot` folds them in. The lock serves the obs
-    server thread, which reads the sink while a campaign runs.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.stage_s: dict[str, float] = {name: 0.0 for name in STAGES}
-        self.points = 0
-        self.failures = 0
-        self.retries = 0
-        #: build-cache hits/misses merged in from worker processes
-        self.cache_counts: dict[str, int] = dict.fromkeys(CACHE_COUNTERS, 0)
-
-    def record_point(self, stage_s: dict[str, float], ok: bool) -> None:
-        with self._lock:
-            self.points += 1
-            if not ok:
-                self.failures += 1
-            for name, seconds in stage_s.items():
-                self.stage_s[name] = self.stage_s.get(name, 0.0) + seconds
-        obs_metrics.count("engine.points")
-        if not ok:
-            obs_metrics.count("engine.failures")
-        for name, seconds in stage_s.items():
-            obs_metrics.count(f"engine.stage_s.{name}", seconds)
-            obs_metrics.observe(f"engine.stage_s_per_point.{name}", seconds)
-
-    def record_retry(self) -> None:
-        with self._lock:
-            self.retries += 1
-        obs_metrics.count("engine.retries")
-
-    def snapshot(self) -> dict[str, object]:
-        with self._lock:
-            return {
-                "points": self.points,
-                "failures": self.failures,
-                "retries": self.retries,
-                "stage_s": dict(self.stage_s),
-                **self.cache_counts,
-            }
-
-    def merge_snapshot(self, snapshot: dict[str, object]) -> None:
-        """Fold another stats sink's :meth:`snapshot` into this one.
-
-        Worker processes (the scheduler's process backend) each
-        accumulate into their own sink and ship incremental deltas home
-        with every point outcome — this is the receiving end. Their
-        metric counts arrive separately, through the telemetry relay
-        (:mod:`repro.obs.relay`).
-        """
-        cache = {name: int(snapshot.get(name, 0) or 0) for name in CACHE_COUNTERS}
-        stage_s = snapshot.get("stage_s") or {}
-        with self._lock:
-            self.points += int(snapshot.get("points", 0) or 0)
-            self.failures += int(snapshot.get("failures", 0) or 0)
-            self.retries += int(snapshot.get("retries", 0) or 0)
-            for name, count in cache.items():
-                self.cache_counts[name] += count
-            for name, seconds in stage_s.items():  # type: ignore[union-attr]
-                self.stage_s[name] = self.stage_s.get(name, 0.0) + float(seconds)
-
-
 class _StageClock:
     """Collects wall time per stage for one point."""
 
@@ -273,8 +205,8 @@ class WorkerSpec:
     declarative :class:`~repro.faults.FaultSpec` (the executable
     :class:`~repro.faults.FaultPlan` is rebuilt from it, and is a pure
     function of the spec, so fault decisions are identical in every
-    worker); each worker gets a private build cache and stats sink,
-    merged home via :meth:`EngineStats.merge_snapshot`.
+    worker); each worker gets a private build cache, whose counts reach
+    the parent through the telemetry relay (:mod:`repro.obs.relay`).
     """
 
     model_cls: "type[DeviceModel]"
@@ -324,7 +256,6 @@ class ExecutionEngine:
             self.cache = None
         else:
             self.cache = cache
-        self.stats = EngineStats()
         self.faults = faults
         self.watchdog = watchdog
         self.retries = retries
@@ -353,8 +284,8 @@ class ExecutionEngine:
     def from_worker_spec(cls, spec: WorkerSpec) -> "ExecutionEngine":
         """Rebuild a sibling engine from a spec (in a worker process).
 
-        The sibling gets a *fresh* device model, build cache and stats
-        sink — process workers cannot share the parent's — but
+        The sibling gets a *fresh* device model and build cache —
+        process workers cannot share the parent's — but
         byte-identical behavior everywhere else: cache state never
         changes what a point measures, only how fast it is obtained.
         """
@@ -414,7 +345,7 @@ class ExecutionEngine:
                         delay = self._backoff_delay(key, attempt)
                         backoff_total += delay
                         attempt += 1
-                        self.stats.record_retry()
+                        obs_metrics.count("engine.retries")
                         obs_events.emit(
                             "point_retry",
                             point=key,
@@ -447,7 +378,12 @@ class ExecutionEngine:
         engine_detail["backoff_s"] = backoff_total
         if transient_log:
             engine_detail["transient_errors"] = transient_log
-        self.stats.record_point(clock.stage_s, result.ok)
+        obs_metrics.count("engine.points")
+        if not result.ok:
+            obs_metrics.count("engine.failures")
+        for name, seconds in clock.stage_s.items():
+            obs_metrics.count(f"engine.stage_s.{name}", seconds)
+            obs_metrics.observe(f"engine.stage_s_per_point.{name}", seconds)
         obs_metrics.count("engine.backoff_s", backoff_total)
         obs_events.emit(
             "point_finished",
@@ -479,19 +415,6 @@ class ExecutionEngine:
     def run_all_kernels(self, params: TuningParameters) -> list[RunResult]:
         """Run COPY/SCALE/ADD/TRIAD at the same parameter point."""
         return [self.run(params.with_(kernel=k)) for k in KERNELS]
-
-    def stats_snapshot(self) -> dict[str, object]:
-        """Campaign counters: stage seconds, points, cache hits/misses.
-
-        Cache hits and misses sum this engine's own build cache and the
-        counts merged in from worker processes; ``frontend_entries`` is
-        the size of this engine's own front-end cache.
-        """
-        out = self.stats.snapshot()
-        own = self.cache.stats() if self.cache is not None else {}
-        for name in (*CACHE_COUNTERS, "frontend_entries"):
-            out[name] = out.get(name, 0) + own.get(name, 0)
-        return out
 
     # -- stages -----------------------------------------------------------------
 

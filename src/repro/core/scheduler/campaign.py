@@ -168,6 +168,14 @@ class CampaignScheduler:
         self._queue_depth = 0
         self._run_t0: float | None = None
         self._session: object | None = None
+        #: this campaign's front-end cache (hits, misses, registry):
+        #: during a batch, offsets to add to the registry's counters
+        #: (so lookups counted there before the batch cancel out);
+        #: between batches, the totals and ``None``. One tuple, so a
+        #: read from the obs server's thread never sees half an update
+        self._frontend: tuple[
+            int, int, obs_metrics.MetricsRegistry | None
+        ] = (0, 0, None)
         # the newest scheduler is what /campaign and /health report on
         obs_health.set_campaign_source(self.health_snapshot)
 
@@ -227,6 +235,11 @@ class CampaignScheduler:
         self._failure_kinds = {}
         self._queue_depth = len(queue)
         self._run_t0 = time.monotonic()
+        hits, misses = self._frontend_lookups()
+        registry = obs_metrics.active_registry()
+        if registry is not None:
+            live_hits, live_misses = _frontend_counts(registry)
+            self._frontend = (hits - live_hits, misses - live_misses, registry)
         obs_events.emit(
             "sweep_started",
             target=target,
@@ -333,6 +346,7 @@ class CampaignScheduler:
             if session is not None:
                 self.worker_restarts += getattr(session, "restarts", 0)
                 self._session = None
+            self._frontend = (*self._frontend_lookups(), None)
             self._restore_signal_handlers(previous_handlers)
         if self.interrupted is not None and self.journal is not None:
             # final checkpoint: everything drained is on disk before exit
@@ -378,14 +392,8 @@ class CampaignScheduler:
         remaining = max(0, self._batch_total - self._batch_done)
         eta = remaining / rate if rate > 0 else None
 
-        cache_hit_rate: float | None = None
-        stats_snapshot = getattr(self.engine, "stats_snapshot", None)
-        if callable(stats_snapshot):
-            stats = stats_snapshot()
-            hits = int(stats.get("frontend_hits", 0) or 0)
-            misses = int(stats.get("frontend_misses", 0) or 0)
-            if hits + misses:
-                cache_hit_rate = hits / (hits + misses)
+        hits, misses = self._frontend_lookups()
+        cache_hit_rate = hits / (hits + misses) if hits + misses else None
 
         session = self._session
         workers: list[dict[str, object]] = []
@@ -443,6 +451,14 @@ class CampaignScheduler:
         )
 
     # -- internals ---------------------------------------------------------
+
+    def _frontend_lookups(self) -> tuple[int, int]:
+        """This campaign's front-end cache (hits, misses) so far."""
+        hits, misses, registry = self._frontend
+        if registry is None:
+            return hits, misses
+        live_hits, live_misses = _frontend_counts(registry)
+        return hits + live_hits, misses + live_misses
 
     def _install_signal_handlers(self) -> dict[int, object]:
         """SIGTERM/SIGINT → drain flag; only from the main thread."""
@@ -559,3 +575,13 @@ class CampaignScheduler:
                 "scheduler": {"backend": backend, "restarts": task.restarts}
             },
         )
+
+
+def _frontend_counts(registry: obs_metrics.MetricsRegistry) -> tuple[int, int]:
+    """The registry's front-end cache (hits, misses), read from a
+    snapshot so that reading creates no counter."""
+    counters = registry.snapshot()["counters"]
+    return (
+        counters.get("build_cache.frontend_hits", 0),
+        counters.get("build_cache.frontend_misses", 0),
+    )

@@ -23,13 +23,13 @@ touching campaign semantics. Two implementations ship:
     parent reaps it, respawns a replacement, and reports the in-flight
     point as a crash :class:`Outcome` for the scheduler to requeue.
     Worker engines cannot share the in-process build cache, so each
-    process warms its own. Per-worker
-    :class:`~repro.core.engine.EngineStats` deltas (build-cache hit and
-    miss counts included) — and, when the parent has live obs sinks,
-    buffered telemetry batches (:mod:`repro.obs.relay`) — ride home
-    with *every point outcome*, so even a worker that later crashes has
-    already banked everything but its in-flight point. Workers exit on
-    their own when the campaign process dies.
+    process warms its own. When the parent has live obs sinks, each
+    worker buffers the same kinds and ships them home as a telemetry
+    batch (:mod:`repro.obs.relay`) with *every point outcome*: metric
+    counts (build-cache hits and misses included), spans and events.
+    So even a worker that later crashes has already banked everything
+    but its in-flight point. Workers exit on their own when the
+    campaign process dies.
 
 Worker crashes are *injectable*: the ``worker_crash`` fault site
 (:mod:`repro.faults`) is consulted once per ``(point, restarts)``
@@ -58,7 +58,6 @@ from ...obs import events as obs_events
 from ...obs import metrics as obs_metrics
 from ...obs import relay as obs_relay
 from ...obs import trace as obs_trace
-from ...ocl.program import CACHE_COUNTERS
 from ..history import (
     params_from_record,
     params_to_record,
@@ -68,7 +67,7 @@ from ..history import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..engine import ExecutionEngine, WorkerSpec
+    from ..engine import WorkerSpec
     from ..params import TuningParameters
     from ..results import RunResult
 
@@ -265,30 +264,10 @@ CRASH_EXIT_CODE = 3
 #: campaign process is still alive
 PARENT_POLL_S = 0.5
 
-#: the whole-number :class:`EngineStats` counters a worker ships home
-_DELTA_COUNTERS = ("points", "failures", "retries", *CACHE_COUNTERS)
-
-
-def _stats_delta(current: dict, last: dict) -> dict:
-    """The increment between two ``stats_snapshot()``\\ s of an engine.
-
-    ``last`` is updated in place, so successive calls ship disjoint
-    deltas — the parent folds every one and never double-counts.
-    """
-    last_stage = last.get("stage_s", {})
-    delta = {name: current[name] - last.get(name, 0) for name in _DELTA_COUNTERS}
-    delta["stage_s"] = {
-        name: seconds - last_stage.get(name, 0.0)
-        for name, seconds in current["stage_s"].items()
-    }
-    last.update(current)
-    return delta
-
-
 def _process_worker_main(
     conn: "multiprocessing.connection.Connection",
     spec: "WorkerSpec",
-    telemetry: bool,
+    sinks: frozenset[str],
     parent_pid: int,
 ) -> None:
     """One worker process: rebuild a sibling engine, serve tasks.
@@ -296,20 +275,20 @@ def _process_worker_main(
     Protocol (all over one duplex pipe): the parent sends
     ``(index, restarts, params_record)`` tuples and a ``None`` sentinel;
     the worker replies ``("done", index, restarts, result_record,
-    stats_delta, telemetry_batch)`` /
-    ``("error", index, restarts, message, stats_delta, telemetry_batch)``
-    per task and ``("stats", stats_delta, telemetry_batch)`` on
-    shutdown. Stats — stage seconds, point counters and build-cache
-    hits/misses — ride home as *incremental deltas with every point
-    outcome* (not only at clean shutdown), so a worker that later gets
-    kill -9'd has already banked everything but its in-flight point.
+    telemetry_batch)`` / ``("error", index, restarts, message,
+    telemetry_batch)`` per task and ``("final", telemetry_batch)`` on
+    shutdown.
 
-    With ``telemetry=True`` the worker carries buffering obs sinks
-    (:class:`~repro.obs.relay.WorkerTelemetry`) and flushes them as the
-    ``telemetry_batch`` field — spans, metric deltas and events the
-    parent merges into its live sinks. The batch is a separate message
-    field, never part of the result record, so result fingerprints are
-    byte-identical with telemetry on or off.
+    ``sinks`` names the obs sinks live in the parent
+    (:func:`~repro.obs.relay.active_sinks`); the worker buffers exactly
+    those (:class:`~repro.obs.relay.WorkerTelemetry`) and drains them
+    into the ``telemetry_batch`` field — spans, metric deltas and
+    events the parent merges into its live sinks. The batch rides with
+    *every point outcome* (not only at clean shutdown), so a worker
+    that later gets kill -9'd has already banked everything but its
+    in-flight point. It is a separate message field, never part of the
+    result record, so result fingerprints are byte-identical with
+    telemetry on or off.
 
     An injected ``worker_crash`` fault hard-kills the process with
     ``os._exit`` *before* the point runs — no flush, no goodbye, the
@@ -326,24 +305,13 @@ def _process_worker_main(
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # under a fork start method the child inherits the parent's live
     # obs sinks; writing to them from here would interleave with the
-    # parent, so a worker first resets them — then installs its own
-    # buffering variants when the parent asked for telemetry
-    from ...obs import set_log, set_registry, set_tracer
-
-    set_tracer(None)
-    set_registry(None)
-    set_log(None)
-    sinks = obs_relay.WorkerTelemetry() if telemetry else None
+    # parent, so the worker replaces all three: a buffering variant of
+    # each sink the parent has, nothing for the others
+    telemetry = obs_relay.WorkerTelemetry(sinks)
 
     from ..engine import ExecutionEngine
 
     engine = ExecutionEngine.from_worker_spec(spec)
-    last_stats: dict = {}
-
-    def flush() -> tuple[dict, dict | None]:
-        delta = _stats_delta(engine.stats_snapshot(), last_stats)
-        return delta, (sinks.drain() if sinks is not None else None)
-
     try:
         while True:
             if not conn.poll(PARENT_POLL_S):
@@ -352,8 +320,7 @@ def _process_worker_main(
                 continue
             message = conn.recv()
             if message is None:
-                delta, batch = flush()
-                conn.send(("stats", delta, batch))
+                conn.send(("final", telemetry.drain()))
                 return
             index, restarts, params_record = message
             params = params_from_record(params_record)
@@ -365,21 +332,11 @@ def _process_worker_main(
             try:
                 result = engine.run(params)
             except Exception as exc:
-                delta, batch = flush()
-                conn.send(
-                    (
-                        "error",
-                        index,
-                        restarts,
-                        f"{type(exc).__name__}: {exc}",
-                        delta,
-                        batch,
-                    )
-                )
+                error = f"{type(exc).__name__}: {exc}"
+                conn.send(("error", index, restarts, error, telemetry.drain()))
                 continue
             record = result_to_record(result, detail=True)
-            delta, batch = flush()
-            conn.send(("done", index, restarts, record, delta, batch))
+            conn.send(("done", index, restarts, record, telemetry.drain()))
     except (EOFError, KeyboardInterrupt):  # parent died / interrupted
         return
     finally:
@@ -412,7 +369,6 @@ class ProcessExecutor(Executor):
             )
         methods = multiprocessing.get_all_start_methods()
         return _ProcessSession(
-            engine,
             spec_of(),
             self.jobs,
             multiprocessing.get_context("fork" if "fork" in methods else "spawn"),
@@ -436,24 +392,13 @@ class _ProcessWorker:
 
 
 class _ProcessSession(_SessionBase):
-    def __init__(
-        self,
-        engine: "ExecutionEngine",
-        spec: "WorkerSpec",
-        jobs: int,
-        ctx,
-    ):
-        self._engine = engine
+    def __init__(self, spec: "WorkerSpec", jobs: int, ctx):
         self._spec = spec
         self._ctx = ctx
         self._pending: deque[Task] = deque()
-        # decided once per session: workers buffer and relay telemetry
-        # exactly when the parent has a live sink to merge it into
-        self._telemetry = (
-            obs_trace.active_tracer() is not None
-            or obs_metrics.active_registry() is not None
-            or obs_events.active_log() is not None
-        )
+        # decided once per session: workers buffer and relay exactly the
+        # sinks the parent has live to merge their batches into
+        self._sinks = obs_relay.active_sinks()
         #: worker processes respawned after a death this session
         self.restarts = 0
         self._workers = [self._spawn(slot) for slot in range(jobs)]
@@ -462,7 +407,7 @@ class _ProcessSession(_SessionBase):
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_process_worker_main,
-            args=(child_conn, self._spec, self._telemetry, os.getpid()),
+            args=(child_conn, self._spec, self._sinks, os.getpid()),
             daemon=True,
         )
         proc.start()
@@ -512,9 +457,10 @@ class _ProcessSession(_SessionBase):
                     return outcome
 
     def _handle(self, worker: _ProcessWorker, message: tuple) -> Outcome | None:
-        kind = message[0]
-        if kind == "stats":  # clean shutdown: the worker's final flush
-            self._absorb(worker, message[1], message[2])
+        # every message ends with the worker's telemetry batch
+        kind, batch = message[0], message[-1]
+        if kind == "final":  # clean shutdown: the worker's last batch
+            obs_relay.merge_batch(batch, worker=worker.name)
             return None
         task = worker.current
         worker.current = None
@@ -522,21 +468,12 @@ class _ProcessSession(_SessionBase):
         # the freed worker starts its next point while this process
         # decodes, journals and reports the one it returned
         self._dispatch()
+        obs_relay.merge_batch(batch, worker=worker.name)
         if kind == "done":
-            self._absorb(worker, message[4], message[5])
             return Outcome.done(task, result_from_record(message[3]))
         if kind == "error":
-            self._absorb(worker, message[4], message[5])
             return Outcome.bug(task, message[3])
         raise SweepError(f"unknown worker message {kind!r}")  # pragma: no cover
-
-    def _absorb(self, worker: _ProcessWorker, stats_delta: dict, batch) -> None:
-        """Fold one message's stats delta and telemetry batch home."""
-        stats = getattr(self._engine, "stats", None)
-        if stats is not None and stats_delta:
-            stats.merge_snapshot(stats_delta)
-        if self._telemetry:
-            obs_relay.merge_batch(batch, worker=worker.name)
 
     def _reap(self, worker: _ProcessWorker) -> Outcome | None:
         """A worker's pipe died: bury it, respawn, report the casualty.
@@ -603,9 +540,9 @@ class _ProcessSession(_SessionBase):
                     pass
         deadline = time.monotonic() + 10.0
         for worker in self._workers:
-            # drain the pipe until the final stats message; a late
-            # result from a cancelled point is dropped, but its stats
-            # delta and telemetry batch still count
+            # drain the pipe until the final message; a late result
+            # from a cancelled point is dropped, but its telemetry
+            # batch still counts
             while True:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -616,11 +553,9 @@ class _ProcessSession(_SessionBase):
                     message = worker.conn.recv()
                 except (EOFError, OSError):
                     break
-                if message[0] == "stats":
-                    self._absorb(worker, message[1], message[2])
+                obs_relay.merge_batch(message[-1], worker=worker.name)
+                if message[0] == "final":
                     break
-                if message[0] in ("done", "error"):
-                    self._absorb(worker, message[4], message[5])
             worker.conn.close()
             worker.proc.join(timeout=5.0)
             if worker.proc.is_alive():  # pragma: no cover - stuck worker

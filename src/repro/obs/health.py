@@ -56,7 +56,8 @@ class CampaignHealth:
     #: seconds to finish at the current rate; ``None`` when unknowable
     eta_s: float | None = None
     failure_kinds: dict[str, int] = field(default_factory=dict)
-    #: build-cache front-end hit rate, ``None`` before the first lookup
+    #: this campaign's build-cache front-end hit rate, from the metrics
+    #: registry; ``None`` before its first lookup or with no registry
     cache_hit_rate: float | None = None
     worker_restarts: int = 0
     requeues: int = 0

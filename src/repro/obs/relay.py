@@ -7,13 +7,14 @@ that gap with the same sink contract the rest of :mod:`repro.obs`
 uses, split across the pipe:
 
 * **Worker side** — :class:`WorkerTelemetry` installs *buffering*
-  variants of the three sinks (an in-memory :class:`~repro.obs.trace.Tracer`,
-  a :class:`~repro.obs.metrics.MetricsRegistry`, and
-  :class:`BufferedEventLog`). Instrumented code is oblivious: it calls
+  variants of the sinks the parent has live (:func:`active_sinks`): an
+  in-memory :class:`~repro.obs.trace.Tracer`, a
+  :class:`~repro.obs.metrics.MetricsRegistry`, a
+  :class:`BufferedEventLog`. Instrumented code is oblivious: it calls
   the same module-level probes, which now accumulate instead of
-  writing. After each point the worker :meth:`~WorkerTelemetry.drain`\\ s
-  the sinks into one picklable batch and ships it home alongside the
-  point's outcome.
+  writing, or no-op for a sink the parent would drop. After each point
+  the worker :meth:`~WorkerTelemetry.drain`\\ s the sinks into one
+  picklable batch and ships it home alongside the point's outcome.
 * **Parent side** — :func:`merge_batch` folds a drained batch into the
   parent's *live* sinks: trace events are rebased onto the parent
   tracer's timeline and keep the worker's pid (one Perfetto track per
@@ -31,13 +32,13 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .events import active_log, set_log
 from .metrics import MetricsRegistry, active_registry, set_registry
 from .trace import Tracer, active_tracer, set_tracer
 
-__all__ = ["BufferedEventLog", "WorkerTelemetry", "merge_batch"]
+__all__ = ["BufferedEventLog", "WorkerTelemetry", "active_sinks", "merge_batch"]
 
 
 class BufferedEventLog:
@@ -65,39 +66,56 @@ class BufferedEventLog:
         return None
 
 
+def active_sinks() -> frozenset[str]:
+    """The kinds of sink live in this process: ``"trace"``,
+    ``"metrics"`` and/or ``"events"``, the keys a batch files them
+    under."""
+    live = {
+        "trace": active_tracer(),
+        "metrics": active_registry(),
+        "events": active_log(),
+    }
+    return frozenset(kind for kind, sink in live.items() if sink is not None)
+
+
 class WorkerTelemetry:
     """Install buffering sinks in a worker process; drain them per point.
 
     Constructed once per worker (after fork/spawn, so the tracer's pid
-    is the worker's own); :meth:`drain` is called after every point to
-    flush whatever the engine recorded into one relayable batch.
+    is the worker's own) with the parent's :func:`active_sinks`. It
+    replaces all three process-wide sinks: a buffering variant of each
+    kind in ``sinks``, none for the rest. :meth:`drain` is called after
+    every point to flush whatever the engine recorded into one
+    relayable batch.
     """
 
-    def __init__(self) -> None:
-        self.tracer = Tracer()
-        self.registry = MetricsRegistry()
-        self.log = BufferedEventLog()
+    def __init__(self, sinks: Collection[str]) -> None:
+        self.tracer = Tracer() if "trace" in sinks else None
+        self.registry = MetricsRegistry() if "metrics" in sinks else None
+        self.log = BufferedEventLog() if "events" in sinks else None
         set_tracer(self.tracer)
         set_registry(self.registry)
         set_log(self.log)
 
     def drain(self) -> dict[str, object] | None:
         """Everything buffered since the last drain, or ``None``."""
-        trace = self.tracer.drain()
-        metrics = self.registry.drain_snapshot()
-        events = self.log.drain()
-        if not (
-            trace["events"]
-            or events
-            or any(metrics[kind] for kind in ("counters", "gauges", "histograms"))
-        ):
+        batch: dict[str, object] = {}
+        if self.tracer is not None:
+            trace = self.tracer.drain()
+            if trace["events"]:
+                batch["trace"] = trace
+        if self.registry is not None:
+            metrics = self.registry.drain_snapshot()
+            if any(metrics.values()):
+                batch["metrics"] = metrics
+        if self.log is not None:
+            events = self.log.drain()
+            if events:
+                batch["events"] = events
+        if not batch:
             return None
-        return {
-            "pid": os.getpid(),
-            "trace": trace,
-            "metrics": metrics,
-            "events": events,
-        }
+        batch["pid"] = os.getpid()
+        return batch
 
 
 def merge_batch(batch: Mapping[str, object] | None, *, worker: str) -> None:

@@ -16,7 +16,6 @@ engine does this for every point).
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..errors import (
@@ -35,10 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Kernel
     from .platform import Device
 
-__all__ = ["Program", "BuildCache", "CACHE_COUNTERS"]
-
-#: the hit/miss counters :meth:`BuildCache.stats` reports
-CACHE_COUNTERS = ("frontend_hits", "frontend_misses", "plan_hits", "plan_misses")
+__all__ = ["Program", "BuildCache"]
 
 
 def device_build(
@@ -78,19 +74,18 @@ class BuildCache:
     retrying an FPGA configuration that does not fit skips the
     re-estimation and re-raises the recorded :class:`BuildError`.
 
-    One instance per engine; each process-pool worker warms its own,
-    and its hit/miss counters ride home to the parent engine's
-    ``stats_snapshot()``. Methods stay thread-safe because the obs
-    server thread reads :meth:`stats` while a campaign runs.
+    Hits and misses are the ``build_cache.*`` counters of the active
+    metrics registry. One instance per engine, used by the thread that
+    runs the engine's points; each process-pool worker warms its own,
+    and its counts reach the parent's registry through the telemetry
+    relay (:mod:`repro.obs.relay`).
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._checked: dict[tuple, "CheckedProgram"] = {}
         # id -> front-end key of each program in _checked, which holds
         # them all, so no id is reused while its entry lives
         self._keys: dict[int, tuple] = {}
-        self._counters = dict.fromkeys(CACHE_COUNTERS, 0)
 
     # -- stages ------------------------------------------------------------------
 
@@ -106,20 +101,16 @@ class BuildCache:
         from ..oclc import compile_source_cached, frontend_key
 
         key = frontend_key(source, defines)
-        with self._lock:
-            cached = self._checked.get(key)
-            if cached is not None:
-                self._counters["frontend_hits"] += 1
+        cached = self._checked.get(key)
         if cached is not None:
             obs_metrics.count("build_cache.frontend_hits")
             return cached, True
-        self._bump("frontend_misses")
+        obs_metrics.count("build_cache.frontend_misses")
         checked = compile_source_cached(
             source, {k: str(v) for k, v in (defines or {}).items()}, key=key
         )
-        with self._lock:
-            self._checked[key] = checked
-            self._keys[id(checked)] = key
+        self._checked[key] = checked
+        self._keys[id(checked)] = key
         return checked, False
 
     def plan(
@@ -140,16 +131,15 @@ class BuildCache:
         later campaign must not replay a one-off failure as if it were
         permanent.
         """
-        with self._lock:
-            key = self._keys[id(checked)] + (device.short_name,)
+        key = self._keys[id(checked)] + (device.short_name,)
         entry = device.model.plan_cache_get(key)
         if entry is not None:
-            self._bump("plan_hits")
+            obs_metrics.count("build_cache.plan_hits")
             status, payload = entry
             if status == "err":
                 raise payload
             return payload, True
-        self._bump("plan_misses")
+        obs_metrics.count("build_cache.plan_misses")
         try:
             plan = build()
         except ReproError as exc:
@@ -158,18 +148,6 @@ class BuildCache:
             raise
         device.model.plan_cache_put(key, ("ok", plan))
         return plan, False
-
-    # -- bookkeeping -------------------------------------------------------------
-
-    def _bump(self, counter: str) -> None:
-        with self._lock:
-            self._counters[counter] += 1
-        obs_metrics.count(f"build_cache.{counter}")
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss counters plus the number of distinct front-end keys."""
-        with self._lock:
-            return {**self._counters, "frontend_entries": len(self._checked)}
 
 
 class Program:

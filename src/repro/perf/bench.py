@@ -109,9 +109,10 @@ _EXEC_THROUGHPUT_WORDS = 1_048_576
 def _triad_launch(words: int, build) -> Callable[[], None]:
     """One launch of the generated float4 triad kernel over ``words``.
 
-    The kernel is built once and its arguments reused, so the array
-    lane's launch plan is cached across calls — exactly how the queue
-    drives it.
+    The kernel is built once and its arguments reused, so every launch
+    after the first reuses the array lane's cached launch plan. A
+    campaign point launches its kernel once and builds its plan, so
+    this times the warm relaunch only.
     """
     params = TuningParameters(
         kernel=KernelName.TRIAD,

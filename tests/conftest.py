@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 from repro.core import TuningParameters
+from repro.obs import metrics as obs_metrics
 from repro.ocl.platform import find_device
 from repro.units import KIB
 
@@ -63,3 +66,15 @@ def small_params() -> TuningParameters:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(2018)
+
+
+@pytest.fixture
+def counters():
+    """Activate a fresh metrics registry for the test.
+
+    The fixture's value returns the registry's counters so far, 0 for a
+    name never counted.
+    """
+    registry = obs_metrics.MetricsRegistry()
+    with obs_metrics.use_registry(registry):
+        yield lambda: defaultdict(int, registry.snapshot()["counters"])

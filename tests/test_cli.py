@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -140,6 +141,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "front-end 0 hit/0 miss" in out
         assert "[cached front-end]" not in out
+
+    def test_sweep_summary_reads_the_registry(self, capsys, tmp_path):
+        args = ["sweep", "--target", "cpu", "--axis", "array_bytes=32KiB,64KiB",
+                "--ntimes", "1"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "front-end 1 hit/1 miss" in out
+        assert "verify 0.000s" in out  # every stage, 0 where none counted
+        assert "engine.points" not in out  # the table needs --metrics
+        path = tmp_path / "m.json"
+        assert main([*args, "--metrics", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "front-end 1 hit/1 miss" in out
+        assert "engine.points" in out
+        assert json.loads(path.read_text())["counters"]["engine.points"] == 2
 
     def test_source(self, capsys):
         code = main(["source", "--kernel", "triad", "--loop", "nested", "--vec", "4"])

@@ -6,9 +6,11 @@ Covers the engine's contract:
   (:meth:`RunResult.fingerprint` — everything except the
   ``detail["engine"]`` instrumentation);
 * a sweep performs the oclc front-end at most once per distinct
-  ``(source, defines, device)`` triple, verified by the cache counters;
+  ``(source, defines, device)`` triple, verified by the
+  ``build_cache.*`` counters of the metrics registry;
 * ``explore(..., jobs=4)`` (a process pool) equals the serial path, in
-  the same order, and the workers' cache counters reach the parent;
+  the same order, and the workers' cache counters reach the parent's
+  registry;
 * the cache is invalidated when source-relevant defines change;
 * failures (FPGA resource overflow) are cached and replayed.
 """
@@ -33,6 +35,7 @@ from repro.core import (
     generate,
 )
 from repro.errors import BenchmarkError, SweepError
+from repro.obs import metrics as obs_metrics
 from repro.oclc import effective_defines, frontend_key, to_source
 from repro.units import KIB, MIB
 
@@ -75,14 +78,15 @@ class TestStagedPipeline:
         assert warm.detail["engine"]["frontend_cache"] == "hit"
         assert warm.detail["engine"]["plan_cache"] == "hit"
 
-    def test_cache_disabled_marks_stages_off(self, small_params):
+    def test_cache_disabled_marks_stages_off(self, small_params, counters):
         engine = _engine("cpu", cache=False)
         result = engine.run(small_params)
         assert result.ok
         assert result.detail["engine"]["frontend_cache"] == "off"
         assert result.detail["engine"]["plan_cache"] == "off"
-        stats = engine.stats_snapshot()
-        assert stats["frontend_hits"] == stats["frontend_misses"] == 0
+        stats = counters()
+        assert stats["build_cache.frontend_hits"] == 0
+        assert stats["build_cache.frontend_misses"] == 0
 
     def test_ntimes_validation(self):
         with pytest.raises(BenchmarkError):
@@ -94,15 +98,15 @@ class TestStagedPipeline:
         assert result.ok and result.validated
         assert result.detail["engine"]["frontend_cache"] == "off"
 
-    def test_stats_accumulate_across_points(self, small_params):
+    def test_stats_accumulate_across_points(self, small_params, counters):
         engine = _engine("cpu")
         for _ in range(3):
             engine.run(small_params)
-        stats = engine.stats_snapshot()
-        assert stats["points"] == 3
-        assert stats["failures"] == 0
-        assert stats["frontend_misses"] == 1
-        assert stats["frontend_hits"] == 2
+        stats = counters()
+        assert stats["engine.points"] == 3
+        assert stats["engine.failures"] == 0
+        assert stats["build_cache.frontend_misses"] == 1
+        assert stats["build_cache.frontend_hits"] == 2
 
 
 class TestByteIdenticalResults:
@@ -146,7 +150,7 @@ class TestByteIdenticalResults:
 
 
 class TestFrontendSharing:
-    def test_size_sweep_compiles_once(self):
+    def test_size_sweep_compiles_once(self, counters):
         """100 NDRange points differing only in array size share one
         front-end pass — the tentpole's acceptance criterion."""
         engine = _engine("cpu", ntimes=1)
@@ -156,18 +160,18 @@ class TestFrontendSharing:
         )
         results = explore(engine, sweep)
         assert len(results) == 100
-        stats = engine.stats_snapshot()
+        stats = counters()
         # distinct (source, effective defines, device) triples in the sweep:
         triples = {
             frontend_key(g.source, {k: str(v) for k, v in g.defines.items()})
             for g in (generate(p) for p in sweep.points())
         }
         assert len(triples) == 1  # NDRange source never mentions N
-        assert stats["frontend_misses"] == len(triples)
-        assert stats["frontend_hits"] == 100 - len(triples)
-        assert stats["plan_misses"] == len(triples)
+        assert stats["build_cache.frontend_misses"] == len(triples)
+        assert stats["build_cache.frontend_hits"] == 100 - len(triples)
+        assert stats["build_cache.plan_misses"] == len(triples)
 
-    def test_flat_loop_sizes_are_distinct_triples(self):
+    def test_flat_loop_sizes_are_distinct_triples(self, counters):
         """FLAT-loop kernels bake N into the compile; sizes must miss."""
         engine = _engine("aocl", ntimes=1)
         sizes = [32 * KIB, 64 * KIB, 128 * KIB]
@@ -175,9 +179,9 @@ class TestFrontendSharing:
             engine.run(
                 TuningParameters(array_bytes=size, loop=LoopManagement.FLAT)
             )
-        stats = engine.stats_snapshot()
-        assert stats["frontend_misses"] == len(sizes)
-        assert stats["frontend_hits"] == 0
+        stats = counters()
+        assert stats["build_cache.frontend_misses"] == len(sizes)
+        assert stats["build_cache.frontend_hits"] == 0
 
     def test_cache_invalidated_when_defines_change(self):
         source = "__kernel void k(__global int *a) { a[0] = N; }\n"
@@ -245,11 +249,14 @@ class TestFrontendMemo:
             first.frontend(source, None)
         assert len(compiled) == len(sources)
         compiled.clear()
-        for source in sources:
-            _, hit = second.frontend(source, None)
-            assert not hit  # each campaign still counts its own misses
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.use_registry(registry):
+            for source in sources:
+                _, hit = second.frontend(source, None)
+                assert not hit  # each campaign still counts its own misses
         assert compiled == []
-        assert second.stats()["frontend_misses"] == len(sources)
+        misses = registry.snapshot()["counters"]["build_cache.frontend_misses"]
+        assert misses == len(sources)
 
     def test_memo_releases_programs_nobody_holds(self):
         """Each program is analyzed, so it holds its IR, which holds it:
@@ -268,7 +275,7 @@ class TestFrontendMemo:
 
 
 class TestFailureCaching:
-    def test_build_failure_cached_and_replayed(self):
+    def test_build_failure_cached_and_replayed(self, counters):
         # int16 x 3 arrays overflows the Virtex-7 in our resource model
         params = TuningParameters(
             array_bytes=64 * KIB,
@@ -283,10 +290,10 @@ class TestFailureCaching:
         assert "does not fit" in cold.error
         assert cold.error == warm.error
         assert cold.fingerprint() == warm.fingerprint()
-        stats = engine.stats_snapshot()
-        assert stats["plan_misses"] == 1
-        assert stats["plan_hits"] == 1  # the replayed failure
-        assert stats["failures"] == 2
+        stats = counters()
+        assert stats["build_cache.plan_misses"] == 1
+        assert stats["build_cache.plan_hits"] == 1  # the replayed failure
+        assert stats["engine.failures"] == 2
 
 
 class TestParallelExplore:
@@ -333,21 +340,29 @@ class TestParallelExplore:
         explore(BenchmarkRunner("cpu", ntimes=1), self._sweep(), jobs=4, progress=progress)
         assert len(seen) == 12
 
-    def test_workers_share_one_cache(self):
+    def test_workers_share_one_cache(self, counters):
         # each pool worker warms a private build cache; what the workers
         # share with the parent is the accounting: every executed point
         # made one front-end and one plan lookup, and the hit/miss
-        # counts ride home with the outcomes into stats_snapshot()
+        # counts ride home with the outcomes into the parent's registry
         runner = BenchmarkRunner("cpu", ntimes=1)
         for campaigns in (1, 2):
             explore(runner, self._sweep(), jobs=2, backend="process")
-            stats = runner.stats_snapshot()
+            stats = counters()
             executed = 12 * campaigns
-            assert stats["points"] == executed
-            assert stats["frontend_hits"] + stats["frontend_misses"] == executed
-            assert stats["plan_hits"] + stats["plan_misses"] == executed
+            assert stats["engine.points"] == executed
+            assert (
+                stats["build_cache.frontend_hits"]
+                + stats["build_cache.frontend_misses"]
+                == executed
+            )
+            assert (
+                stats["build_cache.plan_hits"] + stats["build_cache.plan_misses"]
+                == executed
+            )
         # four kernel sources, three NDRange sizes each: workers reuse
-        assert stats["frontend_hits"] > 0 and stats["plan_hits"] > 0
+        assert stats["build_cache.frontend_hits"] > 0
+        assert stats["build_cache.plan_hits"] > 0
 
     def test_jobs_validation(self):
         with pytest.raises(SweepError):

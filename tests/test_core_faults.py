@@ -126,19 +126,17 @@ class TestFaultPlan:
 
 
 class TestRetry:
-    def test_transient_launch_absorbed_and_instrumented(self, no_backoff):
-        # launch=1.0 fires on every attempt; 3 retries means attempt 3
-        # (the 4th) must run clean — so fire only on attempts 0-2 via a
-        # plan whose rate is 1.0 but engine retries exceed the streak.
-        plan = FaultPlan.parse("launch=0.7,seed=13")
+    def test_transient_launch_absorbed_and_instrumented(self, no_backoff, counters):
+        # seed 2 fires the launch fault on the first two attempts and
+        # lets the third run clean
+        plan = FaultPlan.parse("launch=0.7,seed=2")
         engine = ExecutionEngine("cpu", ntimes=1, faults=plan, retries=8)
         result = engine.run(SMALL)
         assert result.ok
         eng = result.detail["engine"]
-        assert eng["attempts"] >= 1
-        if eng["attempts"] > 1:
-            assert eng["transient_errors"]
-            assert engine.stats.snapshot()["retries"] == eng["attempts"] - 1
+        assert eng["attempts"] > 1
+        assert len(eng["transient_errors"]) == eng["attempts"] - 1
+        assert counters()["engine.retries"] == eng["attempts"] - 1
 
     def test_retries_exhausted_records_failure_kind(self, no_backoff):
         plan = FaultPlan.parse("launch=1.0")

@@ -25,6 +25,7 @@ from repro.core import (
 )
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
+from repro.obs import relay as obs_relay
 from repro.obs import trace as obs_trace
 from repro.ocl import CommandQueue, Context
 from repro.ocl.platform import find_device
@@ -464,12 +465,27 @@ class TestProcessBackendTelemetry:
     def test_child_metrics_relay_into_parent_registry(self):
         results, s = self._process_sweep(metrics=True)
         counters = s.registry.snapshot()["counters"]
-        # engine.points counted exactly once per point (no double count
-        # between the stats fold and the relayed registry batches)
+        # engine.points counted exactly once per point, though every
+        # worker message and the final one carry a batch
         assert counters["engine.points"] == len(results) == 4
         # child-only counters (memsim runs inside the workers) made it home
         assert counters["memsim.dram.requests"] >= 1
         assert counters["queue.kernel_launches"] >= 4
+
+    def test_workers_relay_only_the_parents_sinks(self, monkeypatch):
+        batches = []
+        merge = obs_relay.merge_batch
+
+        def recording(batch, *, worker):
+            batches.append(batch)
+            merge(batch, worker=worker)
+
+        monkeypatch.setattr(obs_relay, "merge_batch", recording)
+        results, s = self._process_sweep(metrics=True)
+        relayed = [batch for batch in batches if batch]
+        assert relayed
+        assert not any("trace" in batch or "events" in batch for batch in relayed)
+        assert s.registry.snapshot()["counters"]["engine.points"] == len(results) == 4
 
     def test_worker_events_carry_worker_identity(self, tmp_path):
         events_path = tmp_path / "events.jsonl"

@@ -131,7 +131,7 @@ class TestCampaignHealth:
         doc = json.loads(json.dumps(health.to_json()))
         assert doc["verdict"] == "failing" and doc["ok"] is False
 
-    def test_scheduler_registers_itself_and_snapshots_after_run(self):
+    def test_scheduler_registers_itself_and_snapshots_after_run(self, counters):
         scheduler = CampaignScheduler(_engine(), backend="serial")
         assert obs_health.active_campaign_source() == scheduler.health_snapshot
         scheduler.run(list(_sweep().points()))
@@ -145,6 +145,32 @@ class TestCampaignHealth:
         assert health.elapsed_s > 0
         assert health.rate_points_per_s > 0
         assert health.cache_hit_rate is not None
+
+    def test_cache_hit_rate_counts_this_campaign(self):
+        # two sizes of one NDRange kernel share its source: 1 miss, 1 hit
+        points = [TuningParameters(array_bytes=n * KIB) for n in (32, 64)]
+        scheduler = CampaignScheduler(_engine(), backend="serial")
+        scheduler.run(points)
+        assert scheduler.health_snapshot().cache_hit_rate is None
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.use_registry(registry):
+            scheduler = CampaignScheduler(_engine(), backend="serial")
+            assert scheduler.health_snapshot().cache_hit_rate is None
+            assert len(registry) == 0  # reading counted nothing
+            scheduler.run(points)
+            assert scheduler.health_snapshot().cache_hit_rate == 0.5
+            # a second campaign under the same registry counts only its
+            # own lookups: a fresh engine misses once, then hits once on
+            # its second batch
+            second = CampaignScheduler(_engine(), backend="serial")
+            assert second.health_snapshot().cache_hit_rate is None
+            second.run(points[:1])
+            assert second.health_snapshot().cache_hit_rate == 0.0
+            second.run(points[:1])
+            assert second.health_snapshot().cache_hit_rate == 0.5
+            assert scheduler.health_snapshot().cache_hit_rate == 0.5
+        # readable after the registry's scope ends, for post-mortem
+        assert second.health_snapshot().cache_hit_rate == 0.5
 
     def test_snapshot_counts_failures_by_kind(self):
         from repro.faults import FaultPlan

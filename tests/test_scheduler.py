@@ -5,7 +5,7 @@ campaign's :class:`ResultSet` must be fingerprint-identical whichever
 backend ran it — serial, or a process pool whose workers are being
 killed mid-point by injected ``worker_crash`` faults — and across a
 mid-sweep kill/resume. Everything else here (restart budgets, dedup,
-durable journals, progress-error containment, stats merge, device
+durable journals, progress-error containment, counter relay, device
 transport) is the supporting machinery that makes that invariant hold.
 """
 
@@ -32,6 +32,7 @@ from repro.core.scheduler import ProcessExecutor, Task
 from repro.devices.custom import device_from_dict
 from repro.errors import SweepError, WorkerCrashError, failure_kind
 from repro.faults import FaultPlan
+from repro.obs import metrics as obs_metrics
 from repro.units import KIB
 
 AXES = {
@@ -285,31 +286,35 @@ class TestProcessExecutor:
             with ProcessExecutor(jobs=1).session(DuckEngine()):
                 pass  # pragma: no cover
 
-    def test_worker_stats_merged_into_parent(self):
+    def test_worker_stats_merged_into_parent(self, counters):
         engine = _engine()
         explore(engine, _sweep(), jobs=2, backend="process")
-        stats = engine.stats_snapshot()
-        assert stats["points"] == 6
-        assert stats["failures"] == 0
-        assert stats["stage_s"]["execute"] > 0
+        stats = counters()
+        assert stats["engine.points"] == 6
+        assert stats["engine.failures"] == 0
+        assert stats["engine.stage_s.execute"] > 0
 
     def test_stats_fold_incrementally_and_survive_worker_kills(self):
-        """Child EngineStats arrive as per-point deltas, not only at
-        clean shutdown — a kill -9'd worker loses at most its in-flight
-        point, so serial and process stats agree even under injected
-        ``worker_crash`` faults."""
-        spec = _find_requeue_seed()
-        serial_engine = _engine(spec)
-        explore(serial_engine, _sweep(), backend="serial")
-        process_engine = _engine(spec)
-        scheduler = CampaignScheduler(process_engine, backend="process", jobs=2)
-        scheduler.run(list(_sweep().points()))
+        """Child counters arrive as per-point telemetry batches, not
+        only at clean shutdown — a kill -9'd worker loses at most its
+        in-flight point, so serial and process counts agree even under
+        injected ``worker_crash`` faults. Launch faults make every
+        compared counter non-zero."""
+        spec = _find_requeue_seed() + ",launch=0.4"
+        serial_registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.use_registry(serial_registry):
+            explore(_engine(spec), _sweep(), backend="serial")
+        process_registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.use_registry(process_registry):
+            scheduler = CampaignScheduler(_engine(spec), backend="process", jobs=2)
+            scheduler.run(list(_sweep().points()))
         assert scheduler.crashes >= 1  # workers actually died mid-campaign
-        serial_stats = serial_engine.stats_snapshot()
-        process_stats = process_engine.stats_snapshot()
-        for counter in ("points", "failures", "retries"):
+        serial_stats = serial_registry.snapshot()["counters"]
+        process_stats = process_registry.snapshot()["counters"]
+        for counter in ("engine.points", "engine.failures", "engine.retries"):
+            assert serial_stats[counter] > 0, counter
             assert process_stats[counter] == serial_stats[counter], counter
-        assert process_stats["points"] == 6
+        assert process_stats["engine.points"] == 6
 
     @pytest.mark.parametrize("short_name", ["gpu", "myboard"])
     def test_custom_device_crosses_process_boundary(self, short_name):
