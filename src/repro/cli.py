@@ -705,9 +705,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with _obs_session(args) as session, obs.use_registry(
         obs.MetricsRegistry() if session.registry is None else session.registry
     ) as registry:
-        reporter = obs.SweepProgress(total=len(sweep), verbosity=_verbosity(args))
-        # the CLI is a scheduler client like explore(): the
-        # scheduler handle is kept so crash/requeue counters can be shown
+        reporter = obs.SweepProgress(verbosity=_verbosity(args))
+        # the CLI is a scheduler client like explore(); the handle is
+        # kept for the backend, the crash failures and the drain state
         scheduler = CampaignScheduler(
             runner,
             backend=args.backend,
@@ -734,7 +734,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     for changes, reason in sweep.skipped:
         print(f"skipped {changes}: {reason}")
-    counters = registry.snapshot()["counters"]
+    snapshot = registry.snapshot()
+    counters = snapshot["counters"]
     print(
         f"\n{len(results)} point(s) on {args.jobs} job(s) "
         f"({scheduler.backend_used} backend), "
@@ -744,18 +745,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"plans {counters.get('build_cache.plan_hits', 0)} hit"
         f"/{counters.get('build_cache.plan_misses', 0)} miss"
     )
-    if scheduler.crashes or scheduler.deduped or scheduler.progress_errors:
+    crashes = counters.get("scheduler.crashes", 0)
+    deduped = counters.get("scheduler.deduped", 0)
+    if crashes or deduped or counters.get("scheduler.progress_errors", 0):
         print(
-            f"scheduler: {scheduler.crashes} worker crash(es), "
-            f"{scheduler.requeues} requeued, "
-            f"{scheduler.crash_failures} failed on crash, "
-            f"{scheduler.deduped} deduped"
+            f"scheduler: {crashes} worker crash(es), "
+            f"{counters.get('scheduler.requeues', 0)} requeued, "
+            f"{scheduler.health_snapshot().crash_failures} failed on crash, "
+            f"{deduped} deduped"
         )
+    stage_s = {
+        name.rsplit(".", 1)[1]: histogram["total"]
+        for name, histogram in snapshot["histograms"].items()
+        if name.startswith("engine.stage_s_per_point.")
+    }
     print(
         "stage wall time: "
         + ", ".join(
-            f"{name} {counters.get(f'engine.stage_s.{name}', 0):.3f}s"
-            for name in sorted(STAGES)
+            f"{name} {stage_s.get(name, 0):.3f}s" for name in sorted(STAGES)
         )
     )
     print(f"campaign: {campaign_status}")

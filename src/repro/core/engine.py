@@ -66,9 +66,10 @@ point as a ``"timeout"`` failure.
 Observability: every completed point, stage boundary and retry also
 reports into the process-wide :mod:`repro.obs` sinks when they are
 active — nested wall-clock trace spans (sweep → point → stage → queue
-command), metrics counters (``engine.points``, ``engine.failures``,
-``engine.stage_s.*``, ``engine.retries``) and structured JSONL events
-keyed by the point fingerprint. Instrumentation is strictly observational:
+command), metrics (``engine.points``, ``engine.failures`` and
+``engine.retries`` counters, one ``engine.stage_s_per_point.*``
+seconds histogram per stage) and structured JSONL events keyed by the
+point fingerprint. Instrumentation is strictly observational:
 :meth:`~repro.core.results.RunResult.fingerprint` is byte-identical
 with the sinks on or off (see ``docs/OBSERVABILITY.md``).
 """
@@ -382,7 +383,6 @@ class ExecutionEngine:
         if not result.ok:
             obs_metrics.count("engine.failures")
         for name, seconds in clock.stage_s.items():
-            obs_metrics.count(f"engine.stage_s.{name}", seconds)
             obs_metrics.observe(f"engine.stage_s_per_point.{name}", seconds)
         obs_metrics.count("engine.backoff_s", backoff_total)
         obs_events.emit(

@@ -21,8 +21,8 @@ recorded as a deterministic ``"worker_crash"`` failure — a
 data point, like any other per-point failure. All crash bookkeeping
 lives in the fingerprint-excluded ``detail["scheduler"]`` provenance
 key, in obs events (``point_requeued``) and in metrics
-(``scheduler.requeues``, ``scheduler.worker_restarts``,
-``scheduler.queue_depth``), so a campaign's :class:`ResultSet` is
+(``scheduler.crashes``, ``scheduler.requeues``,
+``scheduler.worker_restarts``), so a campaign's :class:`ResultSet` is
 fingerprint-identical across backends, crash schedules and resumes.
 
 An ``"error"`` outcome — the engine *raised*, which per-point failures
@@ -68,6 +68,15 @@ from .executors import BACKENDS, Executor, Task, make_executor
 
 __all__ = ["CampaignScheduler"]
 
+#: the registry counters :meth:`CampaignScheduler.health_snapshot`
+#: reports this campaign's share of, in the order it unpacks them
+_COUNTED = (
+    "build_cache.frontend_hits",
+    "build_cache.frontend_misses",
+    "scheduler.requeues",
+    "scheduler.worker_restarts",
+)
+
 
 class CampaignScheduler:
     """Orchestrates one campaign's points through a pluggable executor.
@@ -77,8 +86,10 @@ class CampaignScheduler:
     there is more than one point to run, serial otherwise.
 
     The scheduler is reusable: each :meth:`run` call schedules one
-    batch, and the journal/restore state and the crash/requeue/dedup
-    counters carry across batches.
+    batch, and the journal/restore state carries across batches. Its
+    events are counted once, in the active metrics registry
+    (``scheduler.*``); :meth:`health_snapshot` reports this campaign's
+    share of them.
     """
 
     def __init__(
@@ -149,14 +160,8 @@ class CampaignScheduler:
         self.journal_degraded = False
         self.journal_error = ""
         self._stop_signal: str | None = None
-        # campaign-lifetime counters (accumulate across run() batches)
-        self.crashes = 0  #: crash outcomes observed (worker deaths)
-        self.requeues = 0  #: crashed points resubmitted
-        self.crash_failures = 0  #: points that exhausted the restart budget
-        self.deduped = 0  #: duplicate grid points served from their twin
-        self.progress_errors = 0  #: progress-callback exceptions swallowed
-        self.cancelled = 0  #: pending points withdrawn by a shutdown drain
-        self.worker_restarts = 0  #: worker processes respawned (all batches)
+        #: pending points withdrawn by a shutdown drain (all batches)
+        self.cancelled = 0
         # live-batch state behind health_snapshot() (read from the obs
         # server's thread; ints/refs only, so torn reads are harmless)
         self._batch_total = 0
@@ -168,14 +173,15 @@ class CampaignScheduler:
         self._queue_depth = 0
         self._run_t0: float | None = None
         self._session: object | None = None
-        #: this campaign's front-end cache (hits, misses, registry):
-        #: during a batch, offsets to add to the registry's counters
-        #: (so lookups counted there before the batch cancel out);
-        #: between batches, the totals and ``None``. One tuple, so a
-        #: read from the obs server's thread never sees half an update
-        self._frontend: tuple[
-            int, int, obs_metrics.MetricsRegistry | None
-        ] = (0, 0, None)
+        #: this campaign's share of the :data:`_COUNTED` registry
+        #: counters, as (values, registry): during a batch, offsets to
+        #: add to the registry's counts (so what it counted before the
+        #: batch cancels out); between batches, the totals and
+        #: ``None``. One tuple, so a read from the obs server's thread
+        #: never sees half an update
+        self._counts: tuple[
+            tuple[int, ...], obs_metrics.MetricsRegistry | None
+        ] = ((0,) * len(_COUNTED), None)
         # the newest scheduler is what /campaign and /health report on
         obs_health.set_campaign_source(self.health_snapshot)
 
@@ -212,7 +218,6 @@ class CampaignScheduler:
                 obs_events.emit("point_restored", point=key, target=target)
             elif key in primary_of:
                 aliases.setdefault(key, []).append(i)
-                self.deduped += 1
                 obs_metrics.count("scheduler.deduped")
                 obs_events.emit(
                     "point_deduped",
@@ -235,11 +240,15 @@ class CampaignScheduler:
         self._failure_kinds = {}
         self._queue_depth = len(queue)
         self._run_t0 = time.monotonic()
-        hits, misses = self._frontend_lookups()
         registry = obs_metrics.active_registry()
         if registry is not None:
-            live_hits, live_misses = _frontend_counts(registry)
-            self._frontend = (hits - live_hits, misses - live_misses, registry)
+            offsets = tuple(
+                ours - theirs
+                for ours, theirs in zip(
+                    self._campaign_counts(), _registry_counts(registry)
+                )
+            )
+            self._counts = (offsets, registry)
         obs_events.emit(
             "sweep_started",
             target=target,
@@ -263,10 +272,6 @@ class CampaignScheduler:
                         for task in queue:
                             session.submit(task)
                         outstanding = len(queue)
-                        self._queue_depth = outstanding
-                        obs_metrics.set_gauge(
-                            "scheduler.queue_depth", outstanding
-                        )
                         while outstanding:
                             if (
                                 self._stop_signal is not None
@@ -298,7 +303,7 @@ class CampaignScheduler:
                                 )
                                 outstanding -= 1
                             elif outcome.kind == "crash":
-                                self.crashes += 1
+                                obs_metrics.count("scheduler.crashes")
                                 if self.interrupted is not None:
                                     # mid-drain: neither requeue (that
                                     # would extend the shutdown) nor
@@ -309,7 +314,6 @@ class CampaignScheduler:
                                     self.cancelled += 1
                                     outstanding -= 1
                                 elif task.restarts < self.max_worker_restarts:
-                                    self.requeues += 1
                                     requeued_here += 1
                                     obs_metrics.count("scheduler.requeues")
                                     obs_events.emit(
@@ -320,7 +324,6 @@ class CampaignScheduler:
                                     )
                                     session.submit(task.requeued())
                                 else:
-                                    self.crash_failures += 1
                                     self._finish(
                                         slots,
                                         keys,
@@ -338,31 +341,22 @@ class CampaignScheduler:
                                     f"{outcome.error}"
                                 ) from outcome.exception
                             self._queue_depth = outstanding
-                            obs_metrics.set_gauge(
-                                "scheduler.queue_depth", outstanding
-                            )
         finally:
-            session = self._session
-            if session is not None:
-                self.worker_restarts += getattr(session, "restarts", 0)
-                self._session = None
-            self._frontend = (*self._frontend_lookups(), None)
+            self._session = None
+            self._counts = (self._campaign_counts(), None)
             self._restore_signal_handlers(previous_handlers)
         if self.interrupted is not None and self.journal is not None:
             # final checkpoint: everything drained is on disk before exit
             self.journal.sync()
 
         results = ResultSet(r for r in slots if r is not None)
-        kinds: dict[str, int] = {}
-        for r in results.failed():
-            kind = r.failure_kind or "unknown"
-            kinds[kind] = kinds.get(kind, 0) + 1
+        kinds = results.failure_kinds()
         obs_events.emit(
             "sweep_finished",
             target=target,
             points=len(results),
-            failures=len(results.failed()),
-            failure_kinds=dict(sorted(kinds.items())),
+            failures=sum(kinds.values()),
+            failure_kinds=kinds,
             requeues=requeued_here,
             interrupted=self.interrupted or "",
         )
@@ -392,17 +386,16 @@ class CampaignScheduler:
         remaining = max(0, self._batch_total - self._batch_done)
         eta = remaining / rate if rate > 0 else None
 
-        hits, misses = self._frontend_lookups()
+        hits, misses, requeues, restarts = self._campaign_counts()
         cache_hit_rate = hits / (hits + misses) if hits + misses else None
+        crash_failures = self._failure_kinds.get("worker_crash", 0)
 
         session = self._session
         workers: list[dict[str, object]] = []
-        session_restarts = 0
         if session is not None:
             status = getattr(session, "worker_status", None)
             if callable(status):
                 workers = status()
-            session_restarts = getattr(session, "restarts", 0)
 
         journal_state: dict[str, object] | None = None
         if self.journal is not None:
@@ -424,7 +417,7 @@ class CampaignScheduler:
                 points_total=self._batch_total,
                 executed=executed,
                 failed=self._batch_failed,
-                crash_failures=self.crash_failures,
+                crash_failures=crash_failures,
                 journal_degraded=self.journal_degraded,
                 interrupted=self.interrupted or "",
             ),
@@ -442,9 +435,9 @@ class CampaignScheduler:
             eta_s=eta,
             failure_kinds=dict(sorted(self._failure_kinds.items())),
             cache_hit_rate=cache_hit_rate,
-            worker_restarts=self.worker_restarts + session_restarts,
-            requeues=self.requeues,
-            crash_failures=self.crash_failures,
+            worker_restarts=restarts,
+            requeues=requeues,
+            crash_failures=crash_failures,
             interrupted=self.interrupted or "",
             journal=journal_state,
             workers=workers,
@@ -452,13 +445,15 @@ class CampaignScheduler:
 
     # -- internals ---------------------------------------------------------
 
-    def _frontend_lookups(self) -> tuple[int, int]:
-        """This campaign's front-end cache (hits, misses) so far."""
-        hits, misses, registry = self._frontend
+    def _campaign_counts(self) -> tuple[int, ...]:
+        """This campaign's :data:`_COUNTED` counts so far, in order."""
+        counts, registry = self._counts
         if registry is None:
-            return hits, misses
-        live_hits, live_misses = _frontend_counts(registry)
-        return hits + live_hits, misses + live_misses
+            return counts
+        return tuple(
+            ours + theirs
+            for ours, theirs in zip(counts, _registry_counts(registry))
+        )
 
     def _install_signal_handlers(self) -> dict[int, object]:
         """SIGTERM/SIGINT → drain flag; only from the main thread."""
@@ -502,7 +497,7 @@ class CampaignScheduler:
         self._batch_done += 1
         if not result.ok:
             self._batch_failed += 1
-            kind = result.failure_kind or "unknown"
+            kind = result.failure_kind or "unclassified"
             self._failure_kinds[kind] = self._failure_kinds.get(kind, 0) + 1
         if self.journal is not None:
             try:
@@ -549,7 +544,6 @@ class CampaignScheduler:
         try:
             self.progress(result)
         except Exception as exc:  # a broken reporter must not kill the sweep
-            self.progress_errors += 1
             obs_metrics.count("scheduler.progress_errors")
             obs_events.emit(
                 "progress_error", error=f"{type(exc).__name__}: {exc}"
@@ -577,11 +571,8 @@ class CampaignScheduler:
         )
 
 
-def _frontend_counts(registry: obs_metrics.MetricsRegistry) -> tuple[int, int]:
-    """The registry's front-end cache (hits, misses), read from a
-    snapshot so that reading creates no counter."""
+def _registry_counts(registry: obs_metrics.MetricsRegistry) -> tuple[int, ...]:
+    """The registry's :data:`_COUNTED` counters, read from a snapshot so
+    that reading creates no counter."""
     counters = registry.snapshot()["counters"]
-    return (
-        counters.get("build_cache.frontend_hits", 0),
-        counters.get("build_cache.frontend_misses", 0),
-    )
+    return tuple(counters.get(name, 0) for name in _COUNTED)

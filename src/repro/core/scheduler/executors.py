@@ -137,17 +137,18 @@ class Outcome:
         return cls(kind="error", task=task, error=error, exception=exception)
 
 
-def _injected_crash(engine: object, task: Task) -> bool:
+def _injected_crash(engine: object, key: str, restarts: int) -> bool:
     """Does the ``worker_crash`` fault site fire for this attempt?
 
     The draw is a pure function of ``(seed, site, point, restarts)``
     (see :class:`~repro.faults.FaultPlan`), so every backend — and a
     killed-and-resumed campaign — sees the same crashes at the same
-    points.
+    points. The serial session simulates the crash it draws; a pool
+    worker dies of it.
     """
     faults = getattr(engine, "faults", None)
     return faults is not None and faults.should_fire(
-        "worker_crash", task.key, task.restarts
+        "worker_crash", key, restarts
     )
 
 
@@ -225,7 +226,7 @@ class _SerialSession(_SessionBase):
         if not self._tasks:
             raise SweepError("executor has no outstanding tasks")
         task = self._tasks.popleft()
-        if _injected_crash(self._engine, task):
+        if _injected_crash(self._engine, task.key, task.restarts):
             return Outcome.crash(task)
         try:
             result = self._engine.run(task.params)  # type: ignore[attr-defined]
@@ -325,9 +326,7 @@ def _process_worker_main(
             index, restarts, params_record = message
             params = params_from_record(params_record)
             key = point_fingerprint(engine.target, params)
-            if engine.faults is not None and engine.faults.should_fire(
-                "worker_crash", key, restarts
-            ):
+            if _injected_crash(engine, key, restarts):
                 os._exit(CRASH_EXIT_CODE)
             try:
                 result = engine.run(params)
@@ -399,8 +398,6 @@ class _ProcessSession(_SessionBase):
         # decided once per session: workers buffer and relay exactly the
         # sinks the parent has live to merge their batches into
         self._sinks = obs_relay.active_sinks()
-        #: worker processes respawned after a death this session
-        self.restarts = 0
         self._workers = [self._spawn(slot) for slot in range(jobs)]
 
     def _spawn(self, slot: int) -> _ProcessWorker:
@@ -490,7 +487,6 @@ class _ProcessSession(_SessionBase):
         dead_pid = worker.proc.pid
         slot = self._workers.index(worker)
         self._workers[slot] = self._spawn(worker.slot)
-        self.restarts += 1
         obs_metrics.count("scheduler.worker_restarts")
         obs_trace.instant(
             "worker_restart",

@@ -241,14 +241,6 @@ class DeviceModel(abc.ABC):
         with self._plan_cache_lock:
             self._plan_cache[key] = entry
 
-    def plan_cache_size(self) -> int:
-        with self._plan_cache_lock:
-            return len(self._plan_cache)
-
-    def clear_plan_cache(self) -> None:
-        with self._plan_cache_lock:
-            self._plan_cache.clear()
-
     # -- build -------------------------------------------------------------------
 
     def build(self, checked: CheckedProgram, options: BuildOptions) -> ExecutionPlan:

@@ -13,7 +13,9 @@ four sinks to report into:
 * :mod:`~repro.obs.events` — an append-only structured JSONL event log
   whose per-point records carry the journal's point fingerprint;
 * :mod:`~repro.obs.progress` — a live progress reporter for
-  :func:`~repro.core.sweep.explore` (rate, ETA, failures, cache hits).
+  :func:`~repro.core.sweep.explore`: per-point lines, and the status
+  line (rate, ETA, failures, cache hits) of the campaign's
+  :mod:`~repro.obs.health` snapshot.
 
 All sinks follow the same contract: module-level helpers no-op when no
 sink is installed (a disabled campaign pays one global load per probe),
@@ -26,7 +28,7 @@ byte-identical with everything on or off. See ``docs/OBSERVABILITY.md``.
     from repro import obs
 
     with obs.session(trace="out/trace.json", metrics="out/metrics.json"):
-        explore(engine, sweep, progress=obs.SweepProgress(len(sweep)))
+        explore(engine, sweep, progress=obs.SweepProgress())
 """
 
 from __future__ import annotations

@@ -59,8 +59,11 @@ class CampaignHealth:
     #: this campaign's build-cache front-end hit rate, from the metrics
     #: registry; ``None`` before its first lookup or with no registry
     cache_hit_rate: float | None = None
+    #: this campaign's ``scheduler.worker_restarts`` and
+    #: ``scheduler.requeues`` registry counts (0 with no registry)
     worker_restarts: int = 0
     requeues: int = 0
+    #: ``failure_kinds["worker_crash"]``: points whose restart budget ran out
     crash_failures: int = 0
     #: signal name when a graceful drain stopped the campaign
     interrupted: str = ""
@@ -102,6 +105,22 @@ class CampaignHealth:
         if self.cache_hit_rate is not None:
             out["campaign_cache_hit_rate"] = float(self.cache_hit_rate)
         return out
+
+    def status_line(self) -> str:
+        """The sweep's one-line status, e.g. ``17/40 points  3.2 pt/s
+        eta 7.2s  1 failed  cache 84%`` (no ETA before a rate, no
+        failures or cache part while they are zero or unknown)."""
+        parts = [
+            f"{self.points_done}/{self.points_total} points",
+            f"{self.rate_points_per_s:.1f} pt/s",
+        ]
+        if self.eta_s is not None:
+            parts.append(f"eta {self.eta_s:.1f}s")
+        if self.points_failed:
+            parts.append(f"{self.points_failed} failed")
+        if self.cache_hit_rate is not None:
+            parts.append(f"cache {self.cache_hit_rate:.0%}")
+        return "  ".join(parts)
 
 
 def derive_verdict(
@@ -173,34 +192,27 @@ def health_from_journal(path: str | Path) -> CampaignHealth:
     """
     # lazy import: repro.core modules import repro.obs at module load
     from ..core.history import fsck_journal, scan_results
+    from ..core.results import ResultSet
 
     path = Path(path)
     fsck = fsck_journal(path)
-    results = scan_results(path)
-    failed = [r for r in results.values() if not r.ok]
-    kinds: dict[str, int] = {}
-    crash_failures = 0
-    target = ""
-    for r in failed:
-        kind = r.failure_kind or "unknown"
-        kinds[kind] = kinds.get(kind, 0) + 1
-        if kind == "worker_crash":
-            crash_failures += 1
-    if results:
-        target = next(iter(results.values())).target
+    results = ResultSet(scan_results(path).values())
+    kinds = results.failure_kinds()
+    failed = sum(kinds.values())
+    crash_failures = kinds.get("worker_crash", 0)
     return CampaignHealth(
         verdict=derive_verdict(
             points_total=len(results),
             executed=len(results),
-            failed=len(failed),
+            failed=failed,
             crash_failures=crash_failures,
             journal_degraded=not fsck.clean,
         ),
-        target=target,
+        target=results[0].target if results else "",
         points_total=len(results),
         points_done=len(results),
-        points_failed=len(failed),
-        failure_kinds=dict(sorted(kinds.items())),
+        points_failed=failed,
+        failure_kinds=kinds,
         crash_failures=crash_failures,
         journal={
             "path": fsck.path,

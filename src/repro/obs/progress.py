@@ -1,29 +1,31 @@
-"""Live sweep progress: per-point lines, rate, ETA, failure/cache counts.
+"""Live sweep progress: per-point lines and the campaign's status line.
 
 :class:`SweepProgress` is a ready-made ``progress=`` callback for
-:func:`~repro.core.sweep.explore`. The executor already serializes
-progress callbacks under a lock — including with ``jobs=N`` — so the
-reporter needs no locking of its own and its counters are exact.
+:func:`~repro.core.sweep.explore`. The scheduler calls it once per
+grid point, on its own thread, so the reporter needs no locking.
 
 Three output layers, controlled by ``verbosity``:
 
-* ``0`` (``--quiet``) — nothing per point; totals still accumulate.
+* ``0`` (``--quiet``) — nothing per point.
 * ``1`` (default) — one summary line per completed point, tagged when
   the front-end came from cache (the classic sweep output).
 * ``2+`` (``-v``) — adds per-point stage wall times and attempt counts.
 
-Independently of verbosity, when ``err`` is a terminal a single status
-line ("``17/40 points  3.2 pt/s  eta 7.2s  1 failed  cache 84%``") is
-redrawn in place on stderr after every point, so a long campaign is
+The status line ("``17/40 points  3.2 pt/s  eta 7.2s  1 failed  cache
+84%``") is :meth:`~repro.obs.health.CampaignHealth.status_line` of the
+running campaign's health snapshot, the one ``/campaign`` serves, so
+the reporter keeps no count of its own. When ``err`` is a terminal it
+is redrawn in place on stderr after every point, so a long campaign is
 never silent; on non-terminals (CI logs, pipes) the live line is
-suppressed and only :meth:`finish` prints the final status.
+suppressed and only :meth:`finish` returns the final status.
 """
 
 from __future__ import annotations
 
 import sys
-import time
-from typing import IO, TYPE_CHECKING, Callable
+from typing import IO, TYPE_CHECKING
+
+from .health import CampaignHealth, campaign_health
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.results import RunResult
@@ -36,100 +38,43 @@ class SweepProgress:
 
     def __init__(
         self,
-        total: int | None = None,
         *,
         verbosity: int = 1,
         out: IO[str] | None = None,
         err: IO[str] | None = None,
-        clock: Callable[[], float] = time.monotonic,
     ):
-        self.total = total
         self.verbosity = verbosity
         self.out = out if out is not None else sys.stdout
         self.err = err if err is not None else sys.stderr
-        self._clock = clock
-        self._t0 = clock()
-        self.done = 0
-        self.failed = 0
-        self.cache_hits = 0
-        self.cache_lookups = 0
         self._live = bool(getattr(self.err, "isatty", lambda: False)())
         self._live_width = 0
-
-    # -- derived stats -----------------------------------------------------
-
-    @property
-    def elapsed_s(self) -> float:
-        return self._clock() - self._t0
-
-    @property
-    def points_per_s(self) -> float:
-        elapsed = self.elapsed_s
-        return self.done / elapsed if elapsed > 0 else 0.0
-
-    @property
-    def eta_s(self) -> float | None:
-        """Seconds until the campaign completes, if the rate holds."""
-        if self.total is None or self.done == 0:
-            return None
-        rate = self.points_per_s
-        if rate <= 0:
-            return None
-        return max(0, self.total - self.done) / rate
-
-    @property
-    def cache_hit_rate(self) -> float | None:
-        if not self.cache_lookups:
-            return None
-        return self.cache_hits / self.cache_lookups
 
     # -- the explore() callback --------------------------------------------
 
     def __call__(self, result: "RunResult") -> None:
-        self.done += 1
-        if not result.ok:
-            self.failed += 1
-        engine_info = result.detail.get("engine", {})
-        frontend = ""
-        if isinstance(engine_info, dict):
-            frontend = str(engine_info.get("frontend_cache", ""))
-        if frontend in ("hit", "miss"):
-            self.cache_lookups += 1
-            if frontend == "hit":
-                self.cache_hits += 1
-
         if self.verbosity >= 1:
             self._clear_live()
-            tag = "  [cached front-end]" if frontend == "hit" else ""
+            engine_info = result.detail.get("engine", {})
+            if not isinstance(engine_info, dict):
+                engine_info = {}
+            cached = engine_info.get("frontend_cache") == "hit"
+            tag = "  [cached front-end]" if cached else ""
             self.out.write(result.summary() + tag + "\n")
-            if self.verbosity >= 2 and isinstance(engine_info, dict):
-                stage_s = engine_info.get("stage_s", {})
-                if isinstance(stage_s, dict) and stage_s:
-                    stages = "  ".join(
-                        f"{name} {seconds:.4f}s"
-                        for name, seconds in stage_s.items()
-                    )
-                    attempts = engine_info.get("attempts", 1)
-                    self.out.write(
-                        f"    stages: {stages}  (attempt(s): {attempts})\n"
-                    )
+            stage_s = engine_info.get("stage_s", {})
+            if self.verbosity >= 2 and isinstance(stage_s, dict) and stage_s:
+                stages = "  ".join(
+                    f"{name} {seconds:.4f}s" for name, seconds in stage_s.items()
+                )
+                attempts = engine_info.get("attempts", 1)
+                self.out.write(f"    stages: {stages}  (attempt(s): {attempts})\n")
         if self._live:
             self._draw_live()
 
     # -- rendering ---------------------------------------------------------
 
     def status_line(self) -> str:
-        done = f"{self.done}/{self.total}" if self.total is not None else str(self.done)
-        parts = [f"{done} points", f"{self.points_per_s:.1f} pt/s"]
-        eta = self.eta_s
-        if eta is not None:
-            parts.append(f"eta {eta:.1f}s")
-        if self.failed:
-            parts.append(f"{self.failed} failed")
-        hit_rate = self.cache_hit_rate
-        if hit_rate is not None:
-            parts.append(f"cache {hit_rate:.0%}")
-        return "  ".join(parts)
+        """The running campaign's status line (see the module doc)."""
+        return (campaign_health() or CampaignHealth()).status_line()
 
     def _draw_live(self) -> None:
         line = self.status_line()

@@ -58,6 +58,13 @@ _ENGINES = ("compute", "h2d", "d2h")
 #: the same program launches again on this queue
 _RUNNER_CACHE_SIZE = 8
 
+#: the ``queue.*`` byte counter each transfer command adds to
+_BYTE_COUNTERS = {
+    CommandType.WRITE_BUFFER: "queue.h2d_bytes",
+    CommandType.READ_BUFFER: "queue.d2h_bytes",
+    CommandType.COPY_BUFFER: "queue.copy_bytes",
+}
+
 
 class CommandQueue:
     """A command queue on one device, with profiling always enabled."""
@@ -81,8 +88,6 @@ class CommandQueue:
         self._last_event: Event | None = None
         #: host-side enqueue clock (monotone, nearly free per command)
         self._enqueue_clock: float = 0.0
-        #: per-point command/byte counters; reset by :meth:`reset_profile`
-        self.counters: dict[str, float] = self._fresh_counters()
         self._specialized_cache: dict[tuple[int, str], object] = {}
         #: set by :meth:`external_execution`: functional results already
         #: live in the buffers, so :meth:`_execute` must not re-run
@@ -100,38 +105,15 @@ class CommandQueue:
         return max(self._engine_free.values())
 
     @staticmethod
-    def _fresh_counters() -> dict[str, float]:
-        return {
-            "commands": 0,
-            "kernel_launches": 0,
-            "h2d_bytes": 0,
-            "d2h_bytes": 0,
-            "copy_bytes": 0,
-            "virtual_busy_s": 0.0,
-        }
-
-    def _count_command(
-        self, command: CommandType, duration: float, detail: dict
-    ) -> None:
-        counters = self.counters
-        counters["commands"] += 1
-        counters["virtual_busy_s"] += duration
+    def _count_command(command: CommandType, detail: dict) -> None:
+        """Count the command in the active metrics registry."""
         obs_metrics.count("queue.commands")
         if command is CommandType.ND_RANGE_KERNEL:
-            counters["kernel_launches"] += 1
             obs_metrics.count("queue.kernel_launches")
-        elif command is CommandType.WRITE_BUFFER:
-            nbytes = int(detail.get("bytes", 0))
-            counters["h2d_bytes"] += nbytes
-            obs_metrics.count("queue.h2d_bytes", nbytes)
-        elif command is CommandType.READ_BUFFER:
-            nbytes = int(detail.get("bytes", 0))
-            counters["d2h_bytes"] += nbytes
-            obs_metrics.count("queue.d2h_bytes", nbytes)
-        elif command is CommandType.COPY_BUFFER:
-            nbytes = int(detail.get("bytes", 0))
-            counters["copy_bytes"] += nbytes
-            obs_metrics.count("queue.copy_bytes", nbytes)
+        elif command in _BYTE_COUNTERS:
+            obs_metrics.count(
+                _BYTE_COUNTERS[command], int(detail.get("bytes", 0))
+            )
 
     # -- scheduling core ---------------------------------------------------------
 
@@ -173,7 +155,7 @@ class CommandQueue:
         self._engine_free[engine] = end
         self._last_event = event
         self.events.append(event)
-        self._count_command(command, duration, detail)
+        self._count_command(command, detail)
         return event
 
     # -- transfers -----------------------------------------------------------------
@@ -418,20 +400,18 @@ class CommandQueue:
         return self.now
 
     def reset_profile(self) -> None:
-        """Restart the virtual clock, drop events and zero the counters.
+        """Restart the virtual clock and drop events.
 
         Warm state (the kernel-specialization cache) is kept. The
         execution engine calls this between measurement points so a
         long-lived queue produces timestamps — and therefore latencies —
         bit-identical to a fresh queue's: subtracting nearby large
         floats (late in a campaign's virtual time) would otherwise
-        drift in the last ulps. The per-queue :attr:`counters` restart
-        too, so per-point command/byte statistics never leak across
-        points of a long campaign (campaign-wide totals live in the
-        :mod:`repro.obs.metrics` registry instead).
+        drift in the last ulps. Command and byte counts are
+        campaign-wide: they live in the :mod:`repro.obs.metrics`
+        registry (``queue.*``), which this leaves alone.
         """
         self._engine_free = {e: 0.0 for e in _ENGINES}
         self._last_event = None
         self._enqueue_clock = 0.0
         self.events.clear()
-        self.counters = self._fresh_counters()

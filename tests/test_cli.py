@@ -402,6 +402,29 @@ class TestResilienceFlags:
         second = capsys.readouterr().out
         assert "2 restored, 0 executed" in second
 
+    def test_campaign_line_agrees_with_cache_line(self, tmp_path, capsys):
+        # launch faults retry points, and every attempt looks its kernel
+        # up in the build cache; the status line counts those lookups
+        # as the summary's cache line does, and a resume counts its
+        # restored points as done
+        sweep = ["sweep", "--target", "cpu", "--size", "64KiB",
+                 "--axis", "vector_width=1,2,4", "--ntimes", "1",
+                 "--inject-faults", "launch=0.5,seed=2",
+                 "--journal", str(tmp_path / "campaign.jsonl")]
+        assert main(sweep) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^transient retries: [1-9]", out, re.MULTILINE)
+        hits, misses = map(int, re.search(
+            r"cache: front-end (\d+) hit/(\d+) miss", out
+        ).groups())
+        status = re.search(r"^campaign: (.*)$", out, re.MULTILINE).group(1)
+        assert status.startswith("3/3 points")
+        assert status.endswith(f"cache {hits / (hits + misses):.0%}"), out
+        assert main(sweep + ["--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "3 restored, 0 executed" in out
+        assert "campaign: 3/3 points" in out
+
     def test_resume_without_journal_rejected(self, capsys):
         code = main(self.SWEEP + ["--resume"])
         assert code == 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,12 +18,15 @@ import pytest
 from repro import obs
 from repro.core import (
     BenchmarkRunner,
+    CampaignScheduler,
     ParameterSweep,
+    RunResult,
     SweepJournal,
     TuningParameters,
     explore,
     metrics_table,
 )
+from repro.core.scheduler import campaign as campaign_module
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import relay as obs_relay
@@ -561,7 +565,9 @@ class TestChromeTraceStructure:
 
 
 class TestQueueCounters:
-    def test_reset_profile_zeroes_counters(self):
+    def test_reset_profile_zeroes_counters(self, counters):
+        """The queue counts into the registry only; ``reset_profile``
+        zeroes its per-point clock and events, not campaign totals."""
         device = find_device("gpu")
         ctx = Context(device)
         q = CommandQueue(ctx, device)
@@ -569,12 +575,14 @@ class TestQueueCounters:
         arr = np.zeros(1024, dtype=np.int32)
         q.enqueue_write_buffer(buf, arr)
         q.enqueue_read_buffer(buf, arr)
-        assert q.counters["commands"] == 2
-        assert q.counters["h2d_bytes"] == 4096
-        assert q.counters["d2h_bytes"] == 4096
-        assert q.counters["virtual_busy_s"] > 0
+        counts = counters()
+        assert counts["queue.commands"] == 2
+        assert counts["queue.h2d_bytes"] == 4096
+        assert counts["queue.d2h_bytes"] == 4096
+        assert q.now > 0 and len(q.events) == 2
         q.reset_profile()
-        assert q.counters == CommandQueue._fresh_counters()
+        assert q.now == 0.0 and q.events == []
+        assert counters() == counts
 
     def test_queue_spans_and_metrics(self):
         device = find_device("gpu")
@@ -601,60 +609,130 @@ class TestQueueCounters:
 # --------------------------------------------------------------------------
 
 
+class _ScriptedEngine:
+    """Runs no kernel: each point takes 1 ms, and a ``vector_width=2``
+    point fails to build. The scheduler needs only ``target`` and
+    ``run``."""
+
+    target = "cpu"
+
+    def run(self, params: TuningParameters) -> RunResult:
+        failed = params.vector_width == 2
+        return RunResult(
+            target=self.target,
+            params=params,
+            times=() if failed else (1e-3,),
+            moved_bytes=params.moved_bytes,
+            validated=not failed,
+            error="scripted build failure" if failed else "",
+            failure_kind="build" if failed else "",
+        )
+
+
+def _status_lines(
+    monkeypatch, points, seconds_per_point: float, **scheduler_kw
+) -> tuple[list[str], str]:
+    """Run ``points`` on :class:`_ScriptedEngine` under a scheduler clock
+    that advances ``seconds_per_point`` per completed point; returns the
+    reporter's status line after each point and its final one."""
+    now = [0.0]
+    monkeypatch.setattr(
+        campaign_module, "time", SimpleNamespace(monotonic=lambda: now[0])
+    )
+    reporter = obs.SweepProgress(verbosity=0, out=io.StringIO(), err=io.StringIO())
+    lines: list[str] = []
+
+    def progress(result: RunResult) -> None:
+        reporter(result)
+        now[0] += seconds_per_point
+        lines.append(reporter.status_line())
+
+    CampaignScheduler(
+        _ScriptedEngine(), progress=progress, **scheduler_kw
+    ).run(points)
+    return lines, reporter.finish()
+
+
 class TestSweepProgress:
     def test_default_verbosity_prints_summary_lines(self):
         out, err = io.StringIO(), io.StringIO()
-        reporter = obs.SweepProgress(total=2, verbosity=1, out=out, err=err)
+        reporter = obs.SweepProgress(verbosity=1, out=out, err=err)
         runner = BenchmarkRunner("cpu", ntimes=1)
         explore(runner, _small_sweep(), progress=reporter)
         lines = out.getvalue().splitlines()
         assert len(lines) == 2
         assert all(line.startswith("[cpu]") for line in lines)
-        assert reporter.done == 2 and reporter.failed == 0
+        status = reporter.finish()
+        assert status.startswith("2/2 points") and "failed" not in status
 
     def test_quiet_emits_nothing_but_still_counts(self):
         out = io.StringIO()
-        reporter = obs.SweepProgress(total=2, verbosity=0, out=out, err=out)
+        reporter = obs.SweepProgress(verbosity=0, out=out, err=out)
         runner = BenchmarkRunner("cpu", ntimes=1)
         explore(runner, _small_sweep(), progress=reporter)
         assert out.getvalue() == ""
-        assert reporter.done == 2
+        assert reporter.finish().startswith("2/2 points")
 
     def test_verbose_adds_stage_breakdown(self):
         out = io.StringIO()
-        reporter = obs.SweepProgress(total=2, verbosity=2, out=out, err=out)
+        reporter = obs.SweepProgress(verbosity=2, out=out, err=out)
         runner = BenchmarkRunner("cpu", ntimes=1)
         explore(runner, _small_sweep(), progress=reporter)
         assert "stages:" in out.getvalue()
         assert "execute" in out.getvalue()
 
-    def test_cached_frontend_tag_and_hit_rate(self):
+    def test_cached_frontend_tag_and_hit_rate(self, counters):
         out = io.StringIO()
         runner = BenchmarkRunner("cpu", ntimes=1)
         sweep = ParameterSweep(
             base=TuningParameters(array_bytes=32 * KIB),
             axes={"array_bytes": [32 * KIB, 64 * KIB]},  # same source: 2nd hits
         )
-        reporter = obs.SweepProgress(total=2, verbosity=1, out=out, err=out)
+        reporter = obs.SweepProgress(verbosity=1, out=out, err=out)
         explore(runner, sweep, progress=reporter)
         assert "[cached front-end]" in out.getvalue()
-        assert reporter.cache_hits == 1
-        assert reporter.cache_hit_rate == 0.5
+        assert counters()["build_cache.frontend_hits"] == 1
+        assert obs.campaign_health().cache_hit_rate == 0.5
+        assert reporter.finish().endswith("cache 50%")
 
-    def test_status_line_and_eta(self):
-        ticks = iter([0.0, 10.0, 10.0, 10.0, 10.0, 10.0])
-        reporter = obs.SweepProgress(
-            total=4,
-            verbosity=0,
-            out=io.StringIO(),
-            err=io.StringIO(),
-            clock=lambda: next(ticks),
+    def test_live_line_redraws_the_snapshot_on_a_terminal(self):
+        class Terminal(io.StringIO):
+            def isatty(self) -> bool:
+                return True
+
+        err = Terminal()
+        reporter = obs.SweepProgress(verbosity=0, out=io.StringIO(), err=err)
+        explore(BenchmarkRunner("cpu", ntimes=1), _small_sweep(), progress=reporter)
+        drawn = err.getvalue()
+        assert "\r1/2 points" in drawn and "\r2/2 points" in drawn
+        final = reporter.finish()
+        assert final.startswith("2/2 points")
+        assert err.getvalue().endswith("\r")  # finish() wiped the live line
+
+    def test_status_line_and_eta(self, monkeypatch):
+        points = [TuningParameters(vector_width=w) for w in (1, 2, 4, 8)]
+        lines, final = _status_lines(monkeypatch, points, 5.0)
+        # 2 of 4 points executed in 10 s: 0.2 pt/s, 2 to go in 10 s
+        assert lines[1] == "2/4 points  0.2 pt/s  eta 10.0s  1 failed"
+        assert final == lines[3] == "4/4 points  0.2 pt/s  eta 0.0s  1 failed"
+
+    def test_rate_and_eta_count_executed_points_only(
+        self, monkeypatch, tmp_path
+    ):
+        journal = tmp_path / "campaign.jsonl"
+        points = [TuningParameters(vector_width=w) for w in (1, 4, 8, 16)]
+        CampaignScheduler(_ScriptedEngine(), journal=journal).run(points[:2])
+        lines, final = _status_lines(
+            monkeypatch, points, 5.0, journal=journal, resume=True
         )
-        reporter.done = 2
-        reporter.failed = 1
-        line = reporter.status_line()
-        assert line.startswith("2/4 points")
-        assert "0.2 pt/s" in line
-        assert "eta 10.0s" in line
-        assert "1 failed" in line
-        assert reporter.finish() == line
+        # 2 restored, then 1 executed in 5 s: 0.2 pt/s, 1 to go in 5 s
+        assert lines == [
+            "3/4 points  0.2 pt/s  eta 5.0s",
+            "4/4 points  0.2 pt/s  eta 0.0s",
+        ]
+        assert final == lines[-1]
+        # a resume that executes nothing has no rate and no ETA
+        _, final = _status_lines(
+            monkeypatch, points, 5.0, journal=journal, resume=True
+        )
+        assert final == "4/4 points  0.0 pt/s"

@@ -105,16 +105,17 @@ class TestDifferentialBackends:
         }
         assert _fps(runs["process"]) == _fps(runs["serial"])
 
-    def test_crash_survivors_match_faultless_run(self):
+    def test_crash_survivors_match_faultless_run(self, counters):
         """A point that crashes then succeeds measures exactly what it
         would have measured with no fault at all."""
         spec = _find_requeue_seed()
         clean = explore(_engine(), _sweep())
         scheduler = CampaignScheduler(_engine(spec), backend="process", jobs=2)
         crashed = scheduler.run(list(_sweep().points()))
-        assert scheduler.crashes >= 1
-        assert scheduler.requeues >= 1
-        assert scheduler.crash_failures == 0
+        assert counters()["scheduler.crashes"] >= 1
+        health = scheduler.health_snapshot()
+        assert health.requeues == counters()["scheduler.requeues"] >= 1
+        assert health.crash_failures == 0
         assert all(r.ok for r in crashed)
         assert _fps(crashed) == _fps(clean)
 
@@ -231,7 +232,7 @@ class TestSchedulerPolicy:
         sched.run([TuningParameters(array_bytes=32 * KIB)])
         assert sched.backend_used == "serial"
 
-    def test_dedup_by_fingerprint(self, tmp_path):
+    def test_dedup_by_fingerprint(self, tmp_path, counters):
         journal = SweepJournal(tmp_path / "dedup.jsonl")
         sweep = ParameterSweep(
             base=TuningParameters(array_bytes=32 * KIB),
@@ -244,11 +245,11 @@ class TestSchedulerPolicy:
         results = scheduler.run(list(sweep.points()))
         assert len(results) == 2
         assert results[0].fingerprint() == results[1].fingerprint()
-        assert scheduler.deduped == 1
+        assert counters()["scheduler.deduped"] == 1
         assert journal.executed == 1  # the twin never re-ran
         assert len(seen) == 2  # but progress still saw both grid points
 
-    def test_progress_error_does_not_kill_campaign(self):
+    def test_progress_error_does_not_kill_campaign(self, counters):
         calls: list[int] = []
 
         def bad_progress(result) -> None:
@@ -259,7 +260,7 @@ class TestSchedulerPolicy:
         results = scheduler.run(list(_sweep().points()))
         assert len(results) == 6
         assert len(calls) == 6  # still called for every point
-        assert scheduler.progress_errors == 6
+        assert counters()["scheduler.progress_errors"] == 6
 
     def test_engine_bug_still_aborts_campaign(self):
         class BombEngine:
@@ -292,7 +293,9 @@ class TestProcessExecutor:
         stats = counters()
         assert stats["engine.points"] == 6
         assert stats["engine.failures"] == 0
-        assert stats["engine.stage_s.execute"] > 0
+        histograms = obs_metrics.active_registry().snapshot()["histograms"]
+        execute_s = histograms["engine.stage_s_per_point.execute"]
+        assert execute_s["count"] == 6 and execute_s["total"] > 0
 
     def test_stats_fold_incrementally_and_survive_worker_kills(self):
         """Child counters arrive as per-point telemetry batches, not
@@ -308,10 +311,17 @@ class TestProcessExecutor:
         with obs_metrics.use_registry(process_registry):
             scheduler = CampaignScheduler(_engine(spec), backend="process", jobs=2)
             scheduler.run(list(_sweep().points()))
-        assert scheduler.crashes >= 1  # workers actually died mid-campaign
         serial_stats = serial_registry.snapshot()["counters"]
         process_stats = process_registry.snapshot()["counters"]
-        for counter in ("engine.points", "engine.failures", "engine.retries"):
+        # workers actually died mid-campaign
+        assert process_stats["scheduler.worker_restarts"] >= 1
+        for counter in (
+            "engine.points",
+            "engine.failures",
+            "engine.retries",
+            "scheduler.crashes",
+            "scheduler.requeues",
+        ):
             assert serial_stats[counter] > 0, counter
             assert process_stats[counter] == serial_stats[counter], counter
         assert process_stats["engine.points"] == 6
