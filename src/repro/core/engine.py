@@ -66,10 +66,11 @@ point as a ``"timeout"`` failure.
 Observability: every completed point, stage boundary and retry also
 reports into the process-wide :mod:`repro.obs` sinks when they are
 active — nested wall-clock trace spans (sweep → point → stage → queue
-command), metrics (``engine.points``, ``engine.failures`` and
-``engine.retries`` counters, one ``engine.stage_s_per_point.*``
-seconds histogram per stage) and structured JSONL events keyed by the
-point fingerprint. Instrumentation is strictly observational:
+command), metrics (``engine.points``, ``engine.failures``,
+``engine.retries`` and ``engine.buffers.reused`` counters, one
+``engine.stage_s_per_point.*`` seconds histogram per stage) and
+structured JSONL events keyed by the point fingerprint.
+Instrumentation is strictly observational:
 :meth:`~repro.core.results.RunResult.fingerprint` is byte-identical
 with the sinks on or off (see ``docs/OBSERVABILITY.md``).
 """
@@ -77,6 +78,7 @@ with the sinks on or off (see ``docs/OBSERVABILITY.md``).
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -124,6 +126,14 @@ WARMUP = 1
 #: the first transient-retry delay, doubled per attempt, and its cap
 BACKOFF_S = 0.05
 BACKOFF_CAP_S = 1.0
+
+#: The spare set: the storage of the last finished device-stream
+#: point's three arrays (``arrays``, by name), which the next point
+#: takes when its sizes match, so a same-size sweep pages its arrays in
+#: once. One slot per thread, not per engine, so idle memory is at most
+#: one point's arrays however many engines are alive; only a campaign's
+#: own thread runs its points.
+_SPARE = threading.local()
 
 
 @dataclass(frozen=True)
@@ -629,6 +639,8 @@ class ExecutionEngine:
             last_detail["verify"] = self._stage_verify(
                 params, gen, observed, clock, key=key, attempt=attempt
             )
+        # nothing reads the arrays from here on: they become the spare set
+        _SPARE.arrays = {name: arr.view(np.uint8) for name, arr in observed.items()}
         last_detail["build_log"] = program.build_log(self.device)
         last_detail["generated_source"] = gen.source
         last_detail["engine"] = self._instrumentation(
@@ -646,16 +658,31 @@ class ExecutionEngine:
     def _make_buffers(
         self, ctx: Context, words: dict[str, np.ndarray], word_count: int
     ) -> dict[str, Buffer]:
-        """STREAM's arrays, each allocated once and filled in place.
+        """STREAM's arrays, filled in place with their initial words.
 
-        ``words`` holds each array's initial word. A buffer made by size
-        is zeroed and device-resident, so warm-up measures steady state;
-        only a non-zero word is written.
+        ``words`` holds each array's initial word. The arrays are the
+        spare set's (see :data:`_SPARE`) when its sizes match, counted
+        as ``engine.buffers.reused``; otherwise the spare is dropped
+        first and each array allocated by size. Either way each buffer
+        is device-resident, so warm-up measures steady state. A buffer
+        made by size is zeroed, so only a non-zero word is written
+        there; reused storage holds the last point's results, so every
+        word is.
         """
+        nbytes = word_count * words["a"].itemsize
+        spare = getattr(_SPARE, "arrays", None)
+        _SPARE.arrays = None
+        if spare is not None and any(a.size != nbytes for a in spare.values()):
+            spare = None  # freed before its successor is allocated
+        if spare is not None:
+            obs_metrics.count("engine.buffers.reused")
         buffers: dict[str, Buffer] = {}
         for name, word in words.items():
-            buffers[name] = ctx.create_buffer(size=word_count * word.itemsize)
-            if word[0]:
+            if spare is None:
+                buffers[name] = ctx.create_buffer(size=nbytes)
+            else:
+                buffers[name] = ctx.create_buffer(storage=spare[name])
+            if spare is not None or word[0]:
                 buffers[name].view(word.dtype).fill(word[0])
         return buffers
 
@@ -690,6 +717,7 @@ class ExecutionEngine:
             ctx, queue = self._runtime()
             if self.faults is not None:
                 queue.fault_hook = self._fault_hook(key, attempt, fired)
+            _SPARE.arrays = None  # freed before this point allocates
             word = initial_arrays(1, params.dtype)["a"]
             src = np.full(params.word_count, word[0], dtype=word.dtype)
             dst = np.empty_like(src)

@@ -125,7 +125,7 @@ def metrics_table(snapshot: Mapping[str, object]) -> str:
 
     Accepts the mapping produced by
     :meth:`repro.obs.MetricsRegistry.snapshot` (or loaded back from a
-    ``--metrics`` JSON file): counters and gauges render as one value,
+    ``--metrics`` JSON file): counters render as one value,
     histograms as their count/mean/min/max summary. Names sort within
     each kind, so related metrics (``engine.*``, ``memsim.dram.*``)
     read as blocks.
@@ -141,10 +141,6 @@ def metrics_table(snapshot: Mapping[str, object]) -> str:
     if isinstance(counters, Mapping):
         for name in sorted(counters):
             rows.append((name, _value(counters[name])))
-    gauges = snapshot.get("gauges")
-    if isinstance(gauges, Mapping):
-        for name in sorted(gauges):
-            rows.append((name, _value(gauges[name])))
     histograms = snapshot.get("histograms")
     if isinstance(histograms, Mapping):
         for name in sorted(histograms):

@@ -171,7 +171,9 @@ class CampaignScheduler:
         self._batch_failed = 0
         self._failure_kinds: dict[str, int] = {}
         self._queue_depth = 0
+        #: the batch's start and, once it is over, its end (monotonic)
         self._run_t0: float | None = None
+        self._run_t1: float | None = None
         self._session: object | None = None
         #: this campaign's share of the :data:`_COUNTED` registry
         #: counters, as (values, registry): during a batch, offsets to
@@ -239,6 +241,7 @@ class CampaignScheduler:
         self._batch_failed = 0
         self._failure_kinds = {}
         self._queue_depth = len(queue)
+        self._run_t1 = None
         self._run_t0 = time.monotonic()
         registry = obs_metrics.active_registry()
         if registry is not None:
@@ -281,6 +284,7 @@ class CampaignScheduler:
                                 # drain what is already in flight
                                 cancelled = session.cancel_pending()
                                 outstanding -= len(cancelled)
+                                self._queue_depth = outstanding
                                 self.cancelled += len(cancelled)
                                 self.interrupted = self._stop_signal
                                 obs_metrics.count("scheduler.interrupts")
@@ -342,6 +346,7 @@ class CampaignScheduler:
                                 ) from outcome.exception
                             self._queue_depth = outstanding
         finally:
+            self._run_t1 = time.monotonic()
             self._session = None
             self._counts = (self._campaign_counts(), None)
             self._restore_signal_handlers(previous_handlers)
@@ -377,11 +382,11 @@ class CampaignScheduler:
         executed = max(
             0, self._batch_done - self._batch_restored - self._batch_deduped
         )
-        elapsed = (
-            time.monotonic() - self._run_t0
-            if self._run_t0 is not None
-            else 0.0
-        )
+        t0, t1 = self._run_t0, self._run_t1
+        if t0 is None:
+            elapsed = 0.0
+        else:  # a finished batch's elapsed time is frozen at its end
+            elapsed = (time.monotonic() if t1 is None else t1) - t0
         rate = executed / elapsed if elapsed > 0 and executed else 0.0
         remaining = max(0, self._batch_total - self._batch_done)
         eta = remaining / rate if rate > 0 else None

@@ -10,6 +10,12 @@ initial arrays) and the initial word over the untouched tail. Every
 observed word is compared with its region's word; integer kernels must
 match exactly, floating-point kernels to a relative epsilon, and a NaN
 never matches.
+
+A region is checked by its extremes, which allocates nothing: rounding
+is monotone, so for a fixed expected word ``|fl(x - want)|`` over a
+region peaks at the region's minimum or maximum; a NaN anywhere makes
+both extremes NaN, and an infinity is an extreme. Only an array that
+fails is compared word by word, to name its first wrong word.
 """
 
 from __future__ import annotations
@@ -38,6 +44,15 @@ def _matches(got: np.ndarray, want: np.generic, eps: float) -> np.ndarray:
     return np.abs(got - want) <= eps * np.maximum(np.abs(want), 1.0)
 
 
+def _region_matches(got: np.ndarray, want: np.generic, eps: float) -> bool:
+    """Whether every word of ``got`` is within tolerance of ``want``,
+    decided by :func:`_matches` on the region's minimum and maximum."""
+    if not got.size:
+        return True
+    extremes = np.array((got.min(), got.max()), dtype=got.dtype)
+    return bool(_matches(extremes, want, eps).all())
+
+
 def validate_solution(
     kernel: KernelName,
     dtype: DataType,
@@ -63,10 +78,12 @@ def validate_solution(
                 f"array {name!r}: shape {got.shape} != expected {(word_count,)}"
             )
         want_head, want_tail = head[name][0], tail[name][0]
+        if _region_matches(got[:n], want_head, eps) and _region_matches(
+            got[n:], want_tail, eps
+        ):
+            continue
         in_head = _matches(got[:n], want_head, eps)
         in_tail = _matches(got[n:], want_tail, eps)
-        if in_head.all() and in_tail.all():
-            continue
         bad = np.concatenate(
             (np.flatnonzero(~in_head), np.flatnonzero(~in_tail) + n)
         )

@@ -9,7 +9,7 @@ four sinks to report into:
   (sweep → point → stage → queue command), exported as Chrome
   trace-event JSON for ``chrome://tracing`` / Perfetto;
 * :mod:`~repro.obs.metrics` — a process-wide registry of named
-  counters/gauges/histograms with JSON snapshot export;
+  counters and histograms with JSON snapshot export;
 * :mod:`~repro.obs.events` — an append-only structured JSONL event log
   whose per-point records carry the journal's point fingerprint;
 * :mod:`~repro.obs.progress` — a live progress reporter for
@@ -47,7 +47,6 @@ from .health import (
 )
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     active_registry,
@@ -64,7 +63,6 @@ __all__ = [
     "Tracer",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "EventLog",
     "BufferedEventLog",

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: named counters, gauges and histograms.
+"""Process-wide metrics registry: named counters and histograms.
 
 A DSE campaign's health is scattered across layers — the engine counts
 points and stage seconds, the :class:`~repro.ocl.program.BuildCache`
@@ -16,7 +16,7 @@ format, exportable as JSON via ``--metrics`` and renderable with
 :func:`repro.core.report.metrics_table`.
 
 Instrumented code never holds a registry reference; it calls the
-module-level helpers (:func:`count`, :func:`observe`, :func:`set_gauge`)
+module-level helpers (:func:`count`, :func:`observe`)
 which no-op against a ``None`` global when no registry is active — one
 global load and an ``is None`` test, so a campaign that did not ask for
 metrics pays nothing measurable. Activate a registry with
@@ -36,7 +36,6 @@ from typing import Iterator
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "active_registry",
@@ -44,7 +43,6 @@ __all__ = [
     "use_registry",
     "count",
     "observe",
-    "set_gauge",
     "load_snapshot",
 ]
 
@@ -64,23 +62,6 @@ class Counter:
             raise ValueError(f"counter {self.name!r} cannot decrease")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class Gauge:
-    """A named point-in-time value; the last write wins."""
-
-    __slots__ = ("name", "_value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
 
     @property
     def value(self) -> float:
@@ -149,16 +130,16 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe collection of named counters/gauges/histograms.
+    """Thread-safe collection of named counters and histograms.
 
     Metrics are created on first use; a name is bound to one kind for
     the registry's lifetime (asking for ``counter("x")`` after
-    ``gauge("x")`` is a bug and raises).
+    ``histogram("x")`` is a bug and raises).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[str, Counter | Histogram] = {}
 
     def _get(self, name: str, kind: type):
         with self._lock:
@@ -176,9 +157,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
@@ -188,20 +166,14 @@ class MetricsRegistry:
 
     @staticmethod
     def _render(
-        metrics: dict[str, "Counter | Gauge | Histogram"],
+        metrics: dict[str, "Counter | Histogram"],
     ) -> dict[str, dict[str, object]]:
-        out: dict[str, dict[str, object]] = {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
+        out: dict[str, dict[str, object]] = {"counters": {}, "histograms": {}}
         for name in sorted(metrics):
             metric = metrics[name]
             if isinstance(metric, Counter):
                 value = metric.value
                 out["counters"][name] = int(value) if value == int(value) else value
-            elif isinstance(metric, Gauge):
-                out["gauges"][name] = metric.value
             else:
                 out["histograms"][name] = metric.snapshot()
         return out
@@ -224,16 +196,10 @@ class MetricsRegistry:
         return self._render(metrics)
 
     def merge_snapshot(self, snapshot: dict[str, dict[str, object]]) -> None:
-        """Fold another registry's snapshot into this one.
-
-        Counters and histograms are additive; gauges take the incoming
-        value (last write wins, matching :meth:`Gauge.set`).
-        """
+        """Fold another registry's snapshot into this one (both kinds add)."""
         for name, value in (snapshot.get("counters") or {}).items():
             if value:
                 self.counter(name).inc(float(value))  # type: ignore[arg-type]
-        for name, value in (snapshot.get("gauges") or {}).items():
-            self.gauge(name).set(float(value))  # type: ignore[arg-type]
         for name, hist in (snapshot.get("histograms") or {}).items():
             self.histogram(name).merge(hist)  # type: ignore[arg-type]
 
@@ -254,7 +220,7 @@ class MetricsRegistry:
 def load_snapshot(path: str | Path) -> dict[str, dict[str, object]]:
     """Read back a snapshot written by :meth:`MetricsRegistry.to_json`."""
     data = json.loads(Path(path).read_text())
-    for kind in ("counters", "gauges", "histograms"):
+    for kind in ("counters", "histograms"):
         data.setdefault(kind, {})
     return data
 
@@ -301,10 +267,3 @@ def observe(name: str, value: float) -> None:
     registry = _ACTIVE
     if registry is not None:
         registry.histogram(name).observe(value)
-
-
-def set_gauge(name: str, value: float) -> None:
-    """Set gauge ``name`` (no-op if none)."""
-    registry = _ACTIVE
-    if registry is not None:
-        registry.gauge(name).set(value)

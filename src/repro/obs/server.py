@@ -76,8 +76,6 @@ def prometheus_text(
         if not prom.endswith("_total"):
             prom += "_total"
         sample(prom, "counter", value)
-    for name, value in sorted(snapshot.get("gauges", {}).items()):  # type: ignore[union-attr]
-        sample(_prom_name(name), "gauge", value)
     for name, hist in sorted(snapshot.get("histograms", {}).items()):  # type: ignore[union-attr]
         prom = _prom_name(name)
         lines.append(f"# TYPE {prom} summary")

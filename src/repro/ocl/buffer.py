@@ -45,13 +45,19 @@ class Buffer:
     context:
         Owning context.
     size:
-        Size in bytes. Mutually exclusive with ``hostbuf``.
+        Size in bytes; the buffer starts zeroed.
     flags:
         Access flags; kernels writing a READ_ONLY buffer raise.
     hostbuf:
-        Optional initial contents (implies ``COPY_HOST_PTR``); copied,
-        as in OpenCL, so later host-side mutation of the source array
-        does not affect the device copy.
+        Initial contents (implies ``COPY_HOST_PTR``); copied, as in
+        OpenCL, so later host-side mutation of the source array does
+        not affect the device copy.
+    storage:
+        A 1-D ``uint8`` array the buffer adopts as its device storage,
+        without copying or clearing it. The buffer is device-resident,
+        exactly like one made by ``size`` of ``storage.size`` bytes.
+
+    Exactly one of ``size``, ``hostbuf`` and ``storage`` is given.
     """
 
     def __init__(
@@ -61,19 +67,32 @@ class Buffer:
         size: int | None = None,
         flags: MemFlags = MemFlags.READ_WRITE,
         hostbuf: np.ndarray | None = None,
+        storage: np.ndarray | None = None,
     ):
-        if (size is None) == (hostbuf is None):
-            raise InvalidValueError("specify exactly one of size= or hostbuf=")
+        if sum(x is not None for x in (size, hostbuf, storage)) != 1:
+            raise InvalidValueError(
+                "specify exactly one of size=, hostbuf= or storage="
+            )
         if hostbuf is not None:
             arr = np.ascontiguousarray(hostbuf).reshape(-1)
             self._storage = arr.copy()
-            self._size = int(self._storage.nbytes)
             flags |= MemFlags.COPY_HOST_PTR
+        elif storage is not None:
+            if (
+                storage.dtype != np.uint8
+                or storage.ndim != 1
+                or not storage.flags.c_contiguous
+                or not storage.size
+            ):
+                raise InvalidValueError(
+                    "storage= must be a non-empty contiguous 1-D uint8 array"
+                )
+            self._storage = storage
         else:
             if size is None or size <= 0:
                 raise InvalidValueError(f"buffer size must be positive, got {size}")
             self._storage = np.zeros(int(size), dtype=np.uint8)
-            self._size = int(size)
+        self._size = int(self._storage.nbytes)
         self.context = context
         self.flags = flags
         self._released = False

@@ -35,16 +35,26 @@ class Context:
         size: int | None = None,
         flags: MemFlags = MemFlags.READ_WRITE,
         hostbuf: np.ndarray | None = None,
+        storage: np.ndarray | None = None,
     ) -> Buffer:
-        """Allocate a buffer (clCreateBuffer analogue)."""
+        """Allocate a buffer (clCreateBuffer analogue).
+
+        ``storage`` adopts an existing ``uint8`` array as the buffer's
+        device storage (see :class:`Buffer`).
+        """
         total_mem = min(d.global_mem_size for d in self.devices)
-        nbytes = size if size is not None else int(np.asarray(hostbuf).nbytes)
+        if size is not None:
+            nbytes = size
+        else:
+            nbytes = int(np.asarray(hostbuf if storage is None else storage).nbytes)
         if nbytes > total_mem:
             raise InvalidValueError(
                 f"buffer of {nbytes} bytes exceeds device global memory "
                 f"({total_mem} bytes)"
             )
-        return Buffer(self, size=size, flags=flags, hostbuf=hostbuf)
+        return Buffer(
+            self, size=size, flags=flags, hostbuf=hostbuf, storage=storage
+        )
 
     def _register_buffer(self, buffer: Buffer) -> None:
         self._buffers.append(buffer)

@@ -18,6 +18,8 @@ Covers the engine's contract:
 from __future__ import annotations
 
 import gc
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -34,7 +36,9 @@ from repro.core import (
     explore,
     generate,
 )
+from repro.core import engine as engine_module
 from repro.errors import BenchmarkError, SweepError
+from repro.faults import FaultPlan
 from repro.obs import metrics as obs_metrics
 from repro.oclc import effective_defines, frontend_key, to_source
 from repro.units import KIB, MIB
@@ -107,6 +111,105 @@ class TestStagedPipeline:
         assert stats["engine.failures"] == 0
         assert stats["build_cache.frontend_misses"] == 1
         assert stats["build_cache.frontend_hits"] == 2
+
+
+@pytest.fixture
+def no_spare():
+    """Start and end the test with an empty spare set."""
+    engine_module._SPARE.arrays = None
+    yield
+    engine_module._SPARE.arrays = None
+
+
+def _spare_storage() -> weakref.ref:
+    """A weak reference to the storage of the spare set's array ``a``."""
+    return weakref.ref(engine_module._SPARE.arrays["a"].base)
+
+
+@pytest.mark.usefixtures("no_spare")
+class TestSpareArrays:
+    """A point runs on the previous point's arrays when the sizes match."""
+
+    def test_scale_after_copy_reads_a_rezeroed_c(self, counters):
+        # COPY leaves c == 1 and SCALE computes b = q * c, so storage
+        # whose c kept the last point's word fails SCALE's validation
+        engine = _engine("cpu")
+        copy = engine.run(TuningParameters(array_bytes=64 * KIB))
+        scale = engine.run(
+            TuningParameters(array_bytes=64 * KIB, kernel=KernelName.SCALE)
+        )
+        assert copy.ok and scale.ok, scale.error
+        assert counters()["engine.buffers.reused"] == 1
+
+    def test_engines_share_one_spare(self, counters):
+        p = TuningParameters(array_bytes=64 * KIB)
+        assert _engine("cpu").run(p).ok
+        first = _spare_storage()
+        assert _engine("aocl").run(p).ok
+        assert _spare_storage()() is first()
+        assert counters()["engine.buffers.reused"] == 1
+
+    @pytest.mark.parametrize(
+        "fault, handed_back",
+        [("readback=1.0,seed=3", False), ("vectorize=1.0,seed=3", True)],
+        ids=["readback", "vectorize"],
+    )
+    def test_point_after_corrupted_arrays_matches_a_fresh_one(
+        self, fault, handed_back, counters
+    ):
+        # a readback fault fails its point, which hands nothing back; a
+        # vectorize fault without verify hands back a flipped word
+        p = TuningParameters(array_bytes=64 * KIB, kernel=KernelName.ADD)
+        fresh = _engine("cpu").run(p)
+        engine_module._SPARE.arrays = None
+        faulty = _engine("cpu", retries=0, faults=FaultPlan.parse(fault)).run(p)
+        assert faulty.ok is handed_back
+        after = _engine("cpu").run(p)
+        assert counters()["engine.buffers.reused"] == int(handed_back)
+        assert after.ok and after.fingerprint() == fresh.fingerprint()
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            TuningParameters(array_bytes=32 * KIB),
+            TuningParameters(array_bytes=64 * KIB, locus=StreamLocus.HOST),
+        ],
+        ids=["other-size", "host-stream"],
+    )
+    def test_other_points_free_the_spare(self, point):
+        engine = _engine("cpu")
+        engine.run(TuningParameters(array_bytes=64 * KIB))
+        old = _spare_storage()
+        assert old() is not None
+        assert engine.run(point).ok
+        assert old() is None
+
+    def test_build_failure_keeps_the_spare(self, counters):
+        p = TuningParameters(array_bytes=64 * KIB)
+        engine = _engine("sdaccel")
+        assert engine.run(p).ok
+        kept = _spare_storage()
+        failed = engine.run(
+            p.with_(
+                kernel=KernelName.ADD, vector_width=16, loop=LoopManagement.NESTED
+            )
+        )
+        assert failed.failure_kind == "build"
+        assert _spare_storage()() is kept()
+        assert engine.run(p).ok
+        assert counters()["engine.buffers.reused"] == 1
+
+    def test_same_size_point_allocates_no_array(self):
+        engine = _engine("cpu")
+        p = TuningParameters(array_bytes=512 * KIB)
+        assert engine.run(p).ok
+        tracemalloc.start()
+        try:
+            assert engine.run(p).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.array_bytes
 
 
 class TestByteIdenticalResults:

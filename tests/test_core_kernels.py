@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DataType, KernelName
 from repro.core.kernels import KERNELS, SCALAR_Q, initial_arrays, reference
 from repro.core.validate import EPSILON, validate_solution
 from repro.errors import ValidationError
+from repro.units import KIB
 
 
 class TestSpecs:
@@ -132,8 +137,9 @@ def _full_array_check(kernel, dtype, observed, words, touched):
         if eps == 0.0:
             bad = np.nonzero(got != want)[0]
         else:
+            # "not within", so a NaN word is wrong
             denom = np.maximum(np.abs(want), 1.0)
-            bad = np.nonzero(np.abs(got - want) > eps * denom)[0]
+            bad = np.nonzero(~(np.abs(got - want) <= eps * denom))[0]
         if bad.size:
             i = int(bad[0])
             return (
@@ -198,3 +204,110 @@ def test_closed_form_rejects_one_wrong_word_as_before(kernel, dtype, touched, wo
         with pytest.raises(ValidationError) as err:
             _validate(kernel, dtype, observed, touched)
         assert str(err.value) == want
+
+
+def _assert_same_verdict(kernel, dtype, observed, touched):
+    """``validate_solution`` passes exactly when the full-array rule
+    does, and otherwise raises its message."""
+    want = _full_array_check(kernel, dtype, observed, _WORDS, touched)
+    if want is None:
+        _validate(kernel, dtype, observed, touched)
+    else:
+        with pytest.raises(ValidationError) as err:
+            _validate(kernel, dtype, observed, touched)
+        assert str(err.value) == want
+
+
+def _just_beyond(want, eps, sign):
+    """The word nearest ``want`` on side ``sign`` outside its tolerance."""
+    if eps == 0.0:
+        return want + want.dtype.type(sign)
+    toward = want.dtype.type(sign * np.inf)
+
+    def within(x):
+        return abs(x - want) <= eps * max(abs(want), 1.0)
+
+    x = want.dtype.type(want + sign * eps * max(abs(want), 1.0))
+    while within(x):
+        x = np.nextafter(x, toward)
+    while not within(np.nextafter(x, -toward)):
+        x = np.nextafter(x, -toward)
+    return x
+
+
+def _corruptions(want, dtype):
+    eps = EPSILON[dtype]
+    values = [_just_beyond(want, eps, +1), _just_beyond(want, eps, -1)]
+    if eps == 0.0:
+        info = np.iinfo(want.dtype)
+        return values + [want.dtype.type(info.min), want.dtype.type(info.max)]
+    return values + [want.dtype.type(v) for v in (np.nan, np.inf, -np.inf, -0.0)]
+
+
+@pytest.mark.parametrize(
+    "touched", [None, 17, 0], ids=["empty-tail", "ragged", "empty-head"]
+)
+@pytest.mark.parametrize("dtype", list(DataType), ids=lambda d: d.value)
+@_KERNELS
+def test_extremes_give_the_full_array_verdict(kernel, dtype, touched):
+    # one bad word at the first and last word of the head and of the
+    # tail: NaN, infinities, -0.0, and one ulp beyond tolerance on each
+    # side (integers: one off, and the type's extremes)
+    n = _WORDS if touched is None else touched
+    words = sorted({0, n - 1, n, _WORDS - 1} & set(range(_WORDS)))
+    for name in ("a", "b", "c"):
+        for word in words:
+            want = _state(kernel, dtype, touched)[name][word]
+            for value in _corruptions(want, dtype):
+                observed = _state(kernel, dtype, touched)
+                observed[name][word] = value
+                _assert_same_verdict(kernel, dtype, observed, touched)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_extremes_agree_with_the_full_array_rule_on_random_corruptions(data):
+    kernel = data.draw(st.sampled_from(list(KernelName)))
+    dtype = data.draw(st.sampled_from(list(DataType)))
+    touched = data.draw(st.none() | st.integers(0, _WORDS))
+    observed = _state(kernel, dtype, touched)
+    eps = EPSILON[dtype]
+    for _ in range(data.draw(st.integers(1, 4))):
+        arr = observed[data.draw(st.sampled_from("abc"))]
+        word = data.draw(st.integers(0, _WORDS - 1))
+        want = arr[word]
+        if eps == 0.0:
+            info = np.iinfo(arr.dtype)
+            value = data.draw(
+                st.integers(-3, 3).map(lambda k: int(want) + k)
+                | st.integers(int(info.min), int(info.max))
+            )
+        else:
+            tol = 4 * eps * max(abs(float(want)), 1.0)
+            value = data.draw(
+                st.floats(-tol, tol).map(lambda d: float(want) + d)
+                | st.floats(width=8 * arr.dtype.itemsize)
+            )
+        arr[word] = value
+    _assert_same_verdict(kernel, dtype, observed, touched)
+
+
+@pytest.mark.parametrize("dtype", list(DataType), ids=lambda d: d.value)
+def test_validation_allocates_no_array(dtype):
+    words = 512 * KIB // dtype.size
+    observed = reference(
+        KernelName.TRIAD, initial_arrays(words, dtype), touched_words=words - 7
+    )
+    tracemalloc.start()
+    try:
+        validate_solution(
+            KernelName.TRIAD,
+            dtype,
+            observed,
+            word_count=words,
+            touched_words=words - 7,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * KIB

@@ -57,12 +57,10 @@ class TestMetricsRegistry:
         reg = obs_metrics.MetricsRegistry()
         reg.counter("c").inc()
         reg.counter("c").inc(2.5)
-        reg.gauge("g").set(7)
         for v in (1.0, 3.0):
             reg.histogram("h").observe(v)
         snap = reg.snapshot()
         assert snap["counters"]["c"] == 3.5
-        assert snap["gauges"]["g"] == 7.0
         assert snap["histograms"]["h"] == {
             "count": 2,
             "total": 4.0,
@@ -86,12 +84,11 @@ class TestMetricsRegistry:
         reg = obs_metrics.MetricsRegistry()
         reg.counter("x")
         with pytest.raises(TypeError):
-            reg.gauge("x")
+            reg.histogram("x")
 
     def test_snapshot_round_trip(self, tmp_path):
         reg = obs_metrics.MetricsRegistry()
         reg.counter("engine.points").inc(5)
-        reg.gauge("load").set(0.5)
         reg.histogram("stage_s").observe(0.25)
         path = tmp_path / "metrics.json"
         reg.to_json(path)
@@ -102,7 +99,6 @@ class TestMetricsRegistry:
         assert obs_metrics.active_registry() is None
         obs_metrics.count("nothing")  # must not raise, must not create state
         obs_metrics.observe("nothing", 1.0)
-        obs_metrics.set_gauge("nothing", 1.0)
 
     def test_use_registry_scopes_and_restores(self):
         reg = obs_metrics.MetricsRegistry()
@@ -398,17 +394,15 @@ class TestTelemetryRelay:
     def test_registry_drain_and_merge(self):
         worker = obs_metrics.MetricsRegistry()
         worker.counter("engine.points").inc(2)
-        worker.gauge("depth").set(3)
         worker.histogram("stage_s").observe(0.5)
         delta = worker.drain_snapshot()
-        assert worker.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert worker.snapshot() == {"counters": {}, "histograms": {}}
         parent = obs_metrics.MetricsRegistry()
         parent.counter("engine.points").inc(1)
         parent.histogram("stage_s").observe(1.5)
         parent.merge_snapshot(delta)
         snap = parent.snapshot()
         assert snap["counters"]["engine.points"] == 3
-        assert snap["gauges"]["depth"] == 3.0
         assert snap["histograms"]["stage_s"]["count"] == 2
         assert snap["histograms"]["stage_s"]["min"] == 0.5
         assert snap["histograms"]["stage_s"]["max"] == 1.5
@@ -430,7 +424,7 @@ class TestTelemetryRelay:
         batch = {
             "pid": 1,
             "trace": {"pid": 1, "wall_epoch": 0.0, "events": [], "thread_names": {}},
-            "metrics": {"counters": {"x": 1}, "gauges": {}, "histograms": {}},
+            "metrics": {"counters": {"x": 1}, "histograms": {}},
             "events": [{"ts": 0.0, "event": "e"}],
         }
         obs.merge_batch(batch, worker="worker-0")

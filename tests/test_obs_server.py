@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import re
+import signal
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.core import (
     explore,
 )
 from repro.core.history import scan_results
+from repro.core.scheduler import campaign as campaign_module
 from repro.obs import health as obs_health
 from repro.obs import metrics as obs_metrics
 from repro.obs.server import PROM_CONTENT_TYPE, _prom_name
@@ -38,6 +41,12 @@ def _sweep() -> ParameterSweep:
         base=TuningParameters(array_bytes=32 * KIB),
         axes={"vector_width": [1, 2]},
     )
+
+
+def _four_points() -> list[TuningParameters]:
+    return [
+        TuningParameters(array_bytes=32 * KIB, vector_width=w) for w in (1, 2, 4, 8)
+    ]
 
 
 def _engine(**kw) -> ExecutionEngine:
@@ -75,11 +84,9 @@ class TestPrometheusText:
     def test_naming_conventions(self):
         reg = obs_metrics.MetricsRegistry()
         reg.counter("scheduler.worker_restarts").inc(3)
-        reg.gauge("scheduler.queue_depth").set(4)
         reg.histogram("engine.stage_s_per_point.execute").observe(0.5)
         samples = assert_valid_exposition(obs.prometheus_text(reg.snapshot()))
         assert samples["scheduler_worker_restarts_total"] == 3
-        assert samples["scheduler_queue_depth"] == 4
         assert samples["engine_stage_s_per_point_execute_count"] == 1
         assert samples["engine_stage_s_per_point_execute_sum"] == 0.5
         assert samples["engine_stage_s_per_point_execute_min"] == 0.5
@@ -184,6 +191,39 @@ class TestCampaignHealth:
         health = scheduler.health_snapshot()
         assert health.verdict == "failing" and not health.ok
         assert health.failure_kinds == {"verify_mismatch": 2}
+
+    def test_finished_batch_reads_the_same_rate_later(self, monkeypatch):
+        # the scheduler's clock advances 1 s per finished point, and
+        # another 60 s after the batch
+        now = [0.0]
+        monkeypatch.setattr(
+            campaign_module, "time", SimpleNamespace(monotonic=lambda: now[0])
+        )
+
+        def tick(_result) -> None:
+            now[0] += 1.0
+
+        scheduler = CampaignScheduler(_engine(), backend="serial", progress=tick)
+        scheduler.run(_four_points())
+        done = scheduler.health_snapshot()
+        now[0] += 60.0
+        later = scheduler.health_snapshot()
+        assert done.elapsed_s == later.elapsed_s == 4.0
+        assert done.rate_points_per_s == later.rate_points_per_s == 1.0
+        assert later.eta_s == done.eta_s
+
+    def test_drain_leaves_no_queue(self):
+        scheduler: CampaignScheduler
+
+        def drain(_result) -> None:
+            scheduler._on_signal(signal.SIGTERM, None)
+
+        scheduler = CampaignScheduler(_engine(), backend="serial", progress=drain)
+        results = scheduler.run(_four_points())
+        health = scheduler.health_snapshot()
+        assert len(results) == 1 and scheduler.cancelled == 3
+        assert health.verdict == "interrupted"
+        assert health.queue_depth == 0
 
     def test_journal_state_in_snapshot(self, tmp_path):
         journal = SweepJournal(tmp_path / "j.wal")

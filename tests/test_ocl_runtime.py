@@ -64,6 +64,23 @@ class TestBuffers:
         host[0] = 99
         assert buf.view(np.int32)[0] == 0  # copy, not view
 
+    def test_create_over_storage_adopts_it(self, cpu_device):
+        ctx = Context(cpu_device)
+        storage = np.full(16, 7, dtype=np.uint8)
+        buf = ctx.create_buffer(storage=storage)
+        # like a buffer made by size: same size, device-resident,
+        # READ_WRITE; but neither copied nor cleared
+        assert buf.size == 16 and buf.residency == "device"
+        assert buf.flags == ctx.create_buffer(size=16).flags
+        buf.view(np.int32)[0] = -1
+        assert storage[:4].tolist() == [255] * 4 and storage[4] == 7
+        for bad in (np.zeros(4, np.int32), np.zeros((2, 8), np.uint8),
+                    np.zeros(32, np.uint8)[::2], np.zeros(0, np.uint8)):
+            with pytest.raises(InvalidValueError):
+                ctx.create_buffer(storage=bad)
+        with pytest.raises(InvalidValueError):
+            ctx.create_buffer(size=16, storage=storage)
+
     def test_size_xor_hostbuf(self, cpu_device):
         ctx = Context(cpu_device)
         with pytest.raises(InvalidValueError):
