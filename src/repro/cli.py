@@ -453,12 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_point_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--target", default="cpu", help="aocl|sdaccel|cpu|gpu")
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the compile/plan artifact cache (every point pays "
-        "the full front-end and device build)",
-    )
-    parser.add_argument(
         "--kernel", default="copy", choices=[k.value for k in KernelName]
     )
     parser.add_argument("--size", default="4MiB", help="bytes per array, e.g. 4MiB")
@@ -651,7 +645,6 @@ def _make_runner(args: argparse.Namespace, ntimes: int) -> BenchmarkRunner:
         args.target,
         ntimes=ntimes,
         verify=getattr(args, "verify", False),
-        cache=not getattr(args, "no_cache", False),
         faults=faults,
         watchdog=watchdog,
         retries=getattr(args, "retries", 2),

@@ -13,9 +13,10 @@ with cached artifacts between them:
    the memoized front-end, content-addressed by
    ``(source, effective -D defines)``;
 3. **plan** — checked program -> per-device
-   :class:`~repro.devices.base.ExecutionPlan` via the device model's
-   plan-cache hook, keyed by ``(source, defines, device)``; build
-   *failures* (FPGA resource overflow) are cached and replayed too;
+   :class:`~repro.devices.base.ExecutionPlan`, held by the same
+   :class:`~repro.ocl.program.BuildCache` under ``(source, defines,
+   device)``; build *failures* (FPGA resource overflow) are cached and
+   replayed too;
 4. **execute** — stream.c's discipline on a long-lived context/queue
    pair: STREAM's three arrays (a=1, b=2, c=0), one untimed warm-up
    launch (:data:`WARMUP`), ``ntimes`` timed launches whose best time
@@ -101,7 +102,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..ocl import Buffer, CommandQueue, Context, Program
 from ..ocl.platform import Device, find_device
-from ..ocl.program import BuildCache, device_build
+from ..ocl.program import BuildCache
 from ..rng import make_rng
 from .generator import GeneratedKernel, generate
 from .history import point_fingerprint
@@ -216,15 +217,15 @@ class WorkerSpec:
     declarative :class:`~repro.faults.FaultSpec` (the executable
     :class:`~repro.faults.FaultPlan` is rebuilt from it, and is a pure
     function of the spec, so fault decisions are identical in every
-    worker); each worker gets a private build cache, whose counts reach
-    the parent through the telemetry relay (:mod:`repro.obs.relay`).
+    worker); each worker's engine owns a private build cache, whose
+    counts reach the parent through the telemetry relay
+    (:mod:`repro.obs.relay`).
     """
 
     model_cls: "type[DeviceModel]"
     device_spec: "DeviceSpec"
     ntimes: int
     verify: bool
-    cached: bool
     faults: FaultSpec | None
     watchdog: Watchdog | None
     retries: int
@@ -233,12 +234,13 @@ class WorkerSpec:
 class ExecutionEngine:
     """Cached, staged benchmark execution on one target device.
 
-    ``cache=False`` disables artifact caching (every point pays the
-    full front-end and device build); a :class:`BuildCache` shares one
-    between engines. ``faults``, ``watchdog`` and ``retries`` configure
-    the resilience layer (fault injection, the per-point budget,
-    transient retry); ``verify=True`` adds the differential
-    verification stage after every point (see :mod:`repro.verify`).
+    Each engine owns one :class:`BuildCache` (its programs and their
+    plans, build failures included), so callers that should share build
+    artifacts share one engine. ``faults``, ``watchdog`` and
+    ``retries`` configure the resilience layer (fault injection, the
+    per-point budget, transient retry); ``verify=True`` adds the
+    differential verification stage after every point (see
+    :mod:`repro.verify`).
     """
 
     def __init__(
@@ -247,7 +249,6 @@ class ExecutionEngine:
         *,
         ntimes: int = 5,
         verify: bool = False,
-        cache: BuildCache | bool = True,
         faults: FaultPlan | None = None,
         watchdog: Watchdog | None = None,
         retries: int = 2,
@@ -261,12 +262,7 @@ class ExecutionEngine:
         self.device = device
         self.ntimes = ntimes
         self.verify = verify
-        if cache is True:
-            self.cache: BuildCache | None = BuildCache()
-        elif cache is False:
-            self.cache = None
-        else:
-            self.cache = cache
+        self.cache = BuildCache()
         self.faults = faults
         self.watchdog = watchdog
         self.retries = retries
@@ -285,7 +281,6 @@ class ExecutionEngine:
             device_spec=model.spec,
             ntimes=self.ntimes,
             verify=self.verify,
-            cached=self.cache is not None,
             faults=self.faults.spec if self.faults is not None else None,
             watchdog=self.watchdog,
             retries=self.retries,
@@ -304,7 +299,6 @@ class ExecutionEngine:
             Device(spec.model_cls(spec.device_spec)),
             ntimes=spec.ntimes,
             verify=spec.verify,
-            cache=spec.cached,
             faults=FaultPlan(spec.faults) if spec.faults is not None else None,
             watchdog=spec.watchdog,
             retries=spec.retries,
@@ -437,31 +431,16 @@ class ExecutionEngine:
     def _stage_compile(
         self, gen: GeneratedKernel, clock: _StageClock
     ) -> tuple["CheckedProgram", str]:
-        from ..oclc import compile_source
-
         with obs_trace.span("compile", "engine") as span, clock.timed("compile"):
-            if self.cache is None:
-                return compile_source(
-                    gen.source, {k: str(v) for k, v in gen.defines.items()}
-                ), "off"
             checked, hit = self.cache.frontend(gen.source, gen.defines)
             span.set(cache="hit" if hit else "miss")
             return checked, "hit" if hit else "miss"
 
     def _stage_plan(
-        self, gen: GeneratedKernel, checked: "CheckedProgram", clock: _StageClock
+        self, checked: "CheckedProgram", clock: _StageClock
     ) -> tuple["ExecutionPlan", str]:
-        from ..devices.base import BuildOptions
-
-        options = BuildOptions(defines={k: str(v) for k, v in gen.defines.items()})
-
-        def build() -> "ExecutionPlan":
-            return device_build(self.device, checked, options)
-
         with obs_trace.span("plan", "engine") as span, clock.timed("plan"):
-            if self.cache is None:
-                return build(), "off"
-            plan, hit = self.cache.plan(checked, self.device, build)
+            plan, hit = self.cache.plan(checked, self.device)
             span.set(cache="hit" if hit else "miss")
             return plan, "hit" if hit else "miss"
 
@@ -549,7 +528,7 @@ class ExecutionEngine:
         # whether it strikes cannot depend on cache state (and therefore
         # on execution order or resume position)
         self._checkpoint("build", key, attempt, budget)
-        plan, plan_outcome = self._stage_plan(gen, checked, clock)
+        plan, plan_outcome = self._stage_plan(checked, clock)
         if budget is not None:
             budget.check_wall()
 

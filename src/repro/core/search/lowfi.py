@@ -40,14 +40,12 @@ class LowFidelityScorer:
 
     ``score()`` returns predicted bandwidth in GB/s (STREAM-counted
     bytes over modelled seconds — the same currency measured results
-    report) or ``None`` when the point fails to build. Scores are
-    memoized per exact point.
+    report) or ``None`` when the point fails to build.
     """
 
     def __init__(self, engine: ExecutionEngine):
         self.engine = engine
         self.device = engine.device
-        self._memo: dict[TuningParameters, Optional[float]] = {}
 
     def check_scorable(self, params: TuningParameters) -> None:
         """Raise :class:`SweepError` if the model tier cannot score ``params``."""
@@ -61,19 +59,13 @@ class LowFidelityScorer:
 
     def score(self, params: TuningParameters) -> Optional[float]:
         """Predicted GB/s for ``params``, or ``None`` on build failure."""
-        if params in self._memo:
-            return self._memo[params]
-        self._memo[params] = score = self._score(params)
-        return score
-
-    def _score(self, params: TuningParameters) -> Optional[float]:
         from ...devices.base import Launch
 
         gen = generate(params)
         clock = _StageClock()
         try:
             checked, _ = self.engine._stage_compile(gen, clock)
-            plan, _ = self.engine._stage_plan(gen, checked, clock)
+            plan, _ = self.engine._stage_plan(checked, clock)
         except ReproError:
             return None
 

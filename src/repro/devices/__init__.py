@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from .base import (
     AccessProfile,
-    BuildOptions,
     DeviceModel,
     ExecutionPlan,
     KernelTiming,
@@ -29,7 +28,6 @@ from .specs import (
 
 __all__ = [
     "DeviceModel",
-    "BuildOptions",
     "Launch",
     "KernelTiming",
     "ExecutionPlan",

@@ -16,9 +16,8 @@ quantities every target's bandwidth mechanism is written in terms of.
 from __future__ import annotations
 
 import abc
-import threading
-from dataclasses import dataclass, field, replace
-from typing import Any, Hashable, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from ..oclc import CheckedProgram, KernelIR, LoopMode, analyze
 from ..oclc.analysis import MemAccess, sampled_stride
 
 __all__ = [
-    "BuildOptions",
     "Launch",
     "KernelTiming",
     "ExecutionPlan",
@@ -37,19 +35,6 @@ __all__ = [
     "access_count",
     "domain_size",
 ]
-
-
-@dataclass(frozen=True)
-class BuildOptions:
-    """Per-build knobs (``-D`` defines plus vendor-specific extras)."""
-
-    defines: Mapping[str, str] = field(default_factory=dict)
-    extra: Mapping[str, object] = field(default_factory=dict)
-
-    def with_defines(self, defines: Mapping[str, str]) -> "BuildOptions":
-        merged = dict(self.defines)
-        merged.update(defines)
-        return replace(self, defines=merged)
 
 
 @dataclass(frozen=True)
@@ -223,46 +208,27 @@ class DeviceModel(abc.ABC):
 
     def __init__(self, spec: "object"):
         self.spec = spec
-        # Plan-cache hook: campaign caches (repro.ocl.program.BuildCache)
-        # store built ExecutionPlans here under content-addressed keys, so
-        # every campaign targeting this device shares one plan store.
-        self._plan_cache: dict[Hashable, object] = {}
-        self._plan_cache_lock = threading.Lock()
-
-    # -- plan cache hook -----------------------------------------------------------
-
-    def plan_cache_get(self, key: Hashable) -> object | None:
-        """Look up a cached build outcome (``("ok", plan)``/``("err", exc)``)."""
-        with self._plan_cache_lock:
-            return self._plan_cache.get(key)
-
-    def plan_cache_put(self, key: Hashable, entry: object) -> None:
-        """Store a build outcome under a content-addressed key."""
-        with self._plan_cache_lock:
-            self._plan_cache[key] = entry
 
     # -- build -------------------------------------------------------------------
 
-    def build(self, checked: CheckedProgram, options: BuildOptions) -> ExecutionPlan:
-        """Build the *first* kernel of the program (others via plan_for_kernel)."""
+    def build(self, checked: CheckedProgram) -> ExecutionPlan:
+        """Build the *first* kernel of the program (others via plan_for_kernel).
+
+        A build is a function of the checked program and the device
+        alone: every tuning knob, ``-D`` defines included, reached the
+        program through the front end.
+        """
         kernels = [f.name for f in checked.unit.functions if f.is_kernel]
         if not kernels:
             raise DeviceModelError("program contains no kernels")
-        return self.build_kernel(checked, kernels[0], options)
-
-    def build_kernel(
-        self, checked: CheckedProgram, kernel_name: str, options: BuildOptions
-    ) -> ExecutionPlan:
-        ir = analyze(checked, kernel_name)
-        return self.plan(ir, options)
+        return self.plan(analyze(checked, kernels[0]))
 
     def plan_for_kernel(self, plan: ExecutionPlan, kernel_name: str) -> ExecutionPlan:
         """Derive a plan for a sibling kernel in the same program."""
-        ir = analyze(plan.ir.program, kernel_name)
-        return self.plan(ir, BuildOptions())
+        return self.plan(analyze(plan.ir.program, kernel_name))
 
     @abc.abstractmethod
-    def plan(self, ir: KernelIR, options: BuildOptions) -> ExecutionPlan:
+    def plan(self, ir: KernelIR) -> ExecutionPlan:
         """Device-specific compile of an analyzed kernel."""
 
     # -- timing -------------------------------------------------------------------

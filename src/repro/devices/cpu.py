@@ -27,7 +27,6 @@ from ..memsim.controller import MemoryController, StreamDemand
 from ..oclc import KernelIR, LoopMode
 from .base import (
     AccessProfile,
-    BuildOptions,
     DeviceModel,
     ExecutionPlan,
     KernelTiming,
@@ -57,7 +56,7 @@ class CpuModel(DeviceModel):
 
     # -- build -------------------------------------------------------------------
 
-    def plan(self, ir: KernelIR, options: BuildOptions) -> ExecutionPlan:
+    def plan(self, ir: KernelIR) -> ExecutionPlan:
         notes = [
             f"cpu build of kernel {ir.name!r}: loop mode {ir.loop_mode}",
             f"implicit vectorization width {max(ir.vector_width, 4)} lanes",

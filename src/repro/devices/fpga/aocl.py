@@ -11,7 +11,7 @@ build-log diagnostics the AOCL offline compiler is known for.
 from __future__ import annotations
 
 from ...oclc import KernelIR, LoopMode
-from ..base import BuildOptions, ExecutionPlan
+from ..base import ExecutionPlan
 from ..specs import STRATIX_V_AOCL, FpgaSpec
 from .model import FpgaModel
 
@@ -24,8 +24,8 @@ class AoclModel(FpgaModel):
     def __init__(self, spec: FpgaSpec = STRATIX_V_AOCL):
         super().__init__(spec)
 
-    def plan(self, ir: KernelIR, options: BuildOptions) -> ExecutionPlan:
-        plan = super().plan(ir, options)
+    def plan(self, ir: KernelIR) -> ExecutionPlan:
+        plan = super().plan(ir)
         notes = [plan.build_log]
         simd = ir.attributes.get("num_simd_work_items", (1,))[0]
         if simd > 1 and "reqd_work_group_size" not in ir.attributes:

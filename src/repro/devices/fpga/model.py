@@ -16,7 +16,6 @@ from __future__ import annotations
 from ...oclc import KernelIR, LoopMode
 from ..base import (
     AccessProfile,
-    BuildOptions,
     DeviceModel,
     ExecutionPlan,
     KernelTiming,
@@ -43,7 +42,7 @@ class FpgaModel(DeviceModel):
 
     # -- build -------------------------------------------------------------------
 
-    def plan(self, ir: KernelIR, options: BuildOptions) -> ExecutionPlan:
+    def plan(self, ir: KernelIR) -> ExecutionPlan:
         pplan = synthesize(ir, self.spec)
         log = "\n".join(
             [

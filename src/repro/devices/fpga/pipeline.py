@@ -49,11 +49,6 @@ class PipelinePlan:
     fmax_hz: float
     resources: ResourceReport
 
-    @property
-    def issue_rate_hz(self) -> float:
-        """Innermost iterations per second, all compute units together."""
-        return self.fmax_hz / self.ii_cycles * self.simd * self.compute_units
-
 
 def synthesize(ir: KernelIR, spec: FpgaSpec) -> PipelinePlan:
     """Derive the pipeline plan of ``ir`` on an FPGA target."""

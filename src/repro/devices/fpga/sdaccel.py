@@ -10,7 +10,7 @@ paper's nested-loop anomaly.
 from __future__ import annotations
 
 from ...oclc import KernelIR, LoopMode
-from ..base import BuildOptions, ExecutionPlan
+from ..base import ExecutionPlan
 from ..specs import VIRTEX7_SDACCEL, FpgaSpec
 from .model import FpgaModel
 
@@ -23,8 +23,8 @@ class SdaccelModel(FpgaModel):
     def __init__(self, spec: FpgaSpec = VIRTEX7_SDACCEL):
         super().__init__(spec)
 
-    def plan(self, ir: KernelIR, options: BuildOptions) -> ExecutionPlan:
-        plan = super().plan(ir, options)
+    def plan(self, ir: KernelIR) -> ExecutionPlan:
+        plan = super().plan(ir)
         notes = [plan.build_log]
         if ir.loop_mode is LoopMode.FLAT and "xcl_pipeline_loop" not in ir.attributes:
             notes.append(

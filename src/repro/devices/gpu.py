@@ -29,7 +29,6 @@ import math
 from ..oclc import KernelIR, LoopMode
 from .base import (
     AccessProfile,
-    BuildOptions,
     DeviceModel,
     ExecutionPlan,
     KernelTiming,
@@ -58,7 +57,7 @@ class GpuModel(DeviceModel):
 
     # -- build -------------------------------------------------------------------
 
-    def plan(self, ir: KernelIR, options: BuildOptions) -> ExecutionPlan:
+    def plan(self, ir: KernelIR) -> ExecutionPlan:
         regs = self._regs_per_thread(ir)
         occ = self._occupancy(ir)
         notes = [

@@ -16,7 +16,6 @@ from typing import Sequence
 from .core import (
     AccessPattern,
     BenchmarkRunner,
-    BuildCache,
     DataType,
     KernelName,
     LoopManagement,
@@ -24,7 +23,7 @@ from .core import (
     TuningParameters,
     optimal_loop_for,
 )
-from .ocl.platform import Device, find_device, get_platforms
+from .ocl.platform import get_platforms
 from .units import MIB
 
 __all__ = [
@@ -55,19 +54,17 @@ FIG1_WIDTHS = (1, 2, 4, 8, 16)
 Series = dict[str, list[tuple[float, float]]]
 
 
-#: per-target devices and build caches shared by every figure: fig1a's
-#: runner and fig2's reuse each other's front-end and plan artifacts
-#: (plans live on the device model's cache hook, so the device instance
-#: must be shared too), so generating a full figure set compiles each
-#: distinct kernel once
-_DEVICES: dict[str, Device] = {}
-_BUILD_CACHES: dict[str, BuildCache] = {}
+#: one engine per (target, ntimes), shared by every figure: fig1a and
+#: fig2 reuse each other's programs and plans from its build cache, so
+#: generating a full figure set compiles each distinct kernel once
+_RUNNERS: dict[tuple[str, int], BenchmarkRunner] = {}
 
 
 def _runner(target: str, ntimes: int) -> BenchmarkRunner:
-    device = _DEVICES.setdefault(target, find_device(target))
-    cache = _BUILD_CACHES.setdefault(target, BuildCache())
-    return BenchmarkRunner(device, ntimes=ntimes, cache=cache)
+    runner = _RUNNERS.get((target, ntimes))
+    if runner is None:
+        runner = _RUNNERS[target, ntimes] = BenchmarkRunner(target, ntimes=ntimes)
+    return runner
 
 
 def _optimal_params(target: str, **overrides: object) -> TuningParameters:

@@ -55,10 +55,6 @@ class DramSpec:
         if self.peak_bandwidth <= 0:
             raise InvalidValueError("peak bandwidth must be positive")
 
-    @property
-    def channel_bandwidth(self) -> float:
-        return self.peak_bandwidth / self.channels
-
 
 @dataclass(frozen=True)
 class DramTiming:

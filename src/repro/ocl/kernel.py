@@ -95,11 +95,6 @@ class Kernel:
             )
         return dict(self._args)
 
-    def buffer_args(self) -> dict[str, Buffer]:
-        return {
-            n: v for n, v in self._args.items() if isinstance(v, Buffer)
-        }
-
     def validate_launch(
         self,
         device: object,

@@ -5,18 +5,19 @@ the OpenCL-C front-end checks the source once (with the build's ``-D``
 defines), then each device's performance model derives its
 :class:`~repro.devices.base.ExecutionPlan` — the analogue of the vendor
 offline compile, including FPGA resource estimation, which can fail the
-build just like a real place-and-route overflow would.
+build just like a real place-and-route overflow would. A device build
+is a function of the checked program and the device alone.
 
-:class:`BuildCache` is the campaign-scoped build cache: it content-
+:class:`BuildCache` is the engine-scoped build cache: it content-
 addresses front-end artifacts and device plans by
 ``(source, effective -D defines, device)``, so a sweep rebuilds nothing
-it has already built. Pass one to :meth:`Program.build` (the execution
-engine does this for every point).
+it has already built. Every :class:`~repro.core.engine.ExecutionEngine`
+owns one and consults it for every point.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ..errors import (
     BuildError,
@@ -29,7 +30,7 @@ from ..obs import metrics as obs_metrics
 from .context import Context
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..devices.base import BuildOptions, ExecutionPlan
+    from ..devices.base import ExecutionPlan
     from ..oclc import CheckedProgram
     from .kernel import Kernel
     from .platform import Device
@@ -37,17 +38,15 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Program", "BuildCache"]
 
 
-def device_build(
-    device: "Device", checked: "CheckedProgram", options: "BuildOptions"
-) -> "ExecutionPlan":
+def device_build(device: "Device", checked: "CheckedProgram") -> "ExecutionPlan":
     """``device``'s build of ``checked``; any failure is a :class:`BuildError`.
 
-    The one wrapping of a device build, so a failure cached by one
-    caller (a program, the engine, the search's model tier) replays
-    identically for every other.
+    The one wrapping of a device build, so a failed build raises the
+    same error from :meth:`Program.build` as from a :class:`BuildCache`
+    (the engine's, which the search's model tier shares).
     """
     try:
-        return device.model.build(checked, options)
+        return device.model.build(checked)
     except BuildError:
         raise
     except ReproError as exc:
@@ -59,7 +58,7 @@ def device_build(
 
 
 class BuildCache:
-    """Content-addressed build artifacts for one campaign.
+    """Content-addressed build artifacts for one engine.
 
     Front-end results are keyed by ``(source, effective defines)``. The
     cache holds every program it returned, and so keeps it in the weak
@@ -67,10 +66,9 @@ class BuildCache:
     every other live cache finds it: a miss here compiles only if no
     live caller holds the program. Device plans are keyed by the same
     front-end key, which :meth:`frontend` computes once per request and
-    :meth:`plan` looks up by program, plus the device. They are
-    stored via each :class:`~repro.devices.base.DeviceModel`'s
-    plan-cache hook (so independent campaigns against the same device
-    still share plans). Build *failures* are cached too — a sweep
+    :meth:`plan` looks up by program, plus the device, and are held
+    here beside the programs as build outcomes (``("ok", plan)`` or
+    ``("err", exc)``). Build *failures* are cached too — a sweep
     retrying an FPGA configuration that does not fit skips the
     re-estimation and re-raises the recorded :class:`BuildError`.
 
@@ -86,6 +84,8 @@ class BuildCache:
         # id -> front-end key of each program in _checked, which holds
         # them all, so no id is reused while its entry lives
         self._keys: dict[int, tuple] = {}
+        # (front-end key, device) -> ("ok", plan) or ("err", exception)
+        self._plans: dict[tuple, tuple[str, object]] = {}
 
     # -- stages ------------------------------------------------------------------
 
@@ -114,12 +114,9 @@ class BuildCache:
         return checked, False
 
     def plan(
-        self,
-        checked: "CheckedProgram",
-        device: "Device",
-        build: "Callable[[], ExecutionPlan]",
+        self, checked: "CheckedProgram", device: "Device"
     ) -> "tuple[ExecutionPlan, bool]":
-        """Device build once per ``(front-end key, device)`` pair.
+        """:func:`device_build` once per ``(front-end key, device)`` pair.
 
         ``checked`` is a program :meth:`frontend` returned; its plan is
         keyed by the front-end key it was filed under. Returns ``(plan,
@@ -127,12 +124,10 @@ class BuildCache:
         counts as a hit — the expensive estimation was skipped).
         *Transient* failures (:class:`~repro.errors.TransientError` — a
         toolchain flake, not a design that does not fit) are never
-        cached: the retry that follows must get a fresh build, and a
-        later campaign must not replay a one-off failure as if it were
-        permanent.
+        cached: the retry that follows must get a fresh build.
         """
         key = self._keys[id(checked)] + (device.short_name,)
-        entry = device.model.plan_cache_get(key)
+        entry = self._plans.get(key)
         if entry is not None:
             obs_metrics.count("build_cache.plan_hits")
             status, payload = entry
@@ -141,12 +136,12 @@ class BuildCache:
             return payload, True
         obs_metrics.count("build_cache.plan_misses")
         try:
-            plan = build()
+            plan = device_build(device, checked)
         except ReproError as exc:
             if not isinstance(exc, TransientError):
-                device.model.plan_cache_put(key, ("err", exc))
+                self._plans[key] = ("err", exc)
             raise
-        device.model.plan_cache_put(key, ("ok", plan))
+        self._plans[key] = ("ok", plan)
         return plan, False
 
 
@@ -165,56 +160,33 @@ class Program:
         self,
         defines: Mapping[str, str | int] | None = None,
         devices: "tuple[Device, ...] | None" = None,
-        options: "BuildOptions | None" = None,
-        cache: "BuildCache | None" = None,
     ) -> "Program":
         """Compile for the given (default: all context) devices.
 
         Raises :class:`~repro.errors.BuildError` with the offending
-        device's build log on failure, like ``clBuildProgram``. With a
-        :class:`BuildCache`, front-end and per-device artifacts are
-        reused across programs with identical content.
+        device's build log on failure, like ``clBuildProgram``.
         """
-        from ..devices.base import BuildOptions as _BuildOptions
+        from ..oclc import compile_source
 
         if devices is None:
             devices = self.context.devices
         self._defines = {k: str(v) for k, v in (defines or {}).items()}
-        if options is None:
-            options = _BuildOptions(defines=self._defines)
-        else:
-            options = options.with_defines(self._defines)
-
-        self.checked = self._frontend(cache)
+        try:
+            self.checked = compile_source(self.source, self._defines)
+        except OclcError as exc:
+            raise BuildError(
+                f"front-end error: {exc}", device="<front-end>", log=str(exc)
+            ) from exc
 
         for device in devices:
-            checked, opts = self.checked, options
             try:
-                if cache is not None:
-                    plan, _ = cache.plan(
-                        checked, device, lambda: device_build(device, checked, opts)
-                    )
-                else:
-                    plan = device_build(device, checked, opts)
+                plan = device_build(device, self.checked)
             except BuildError as exc:
                 self._build_logs[device.short_name] = exc.log
                 raise
             self._plans[device.short_name] = plan
             self._build_logs[device.short_name] = plan.build_log
         return self
-
-    def _frontend(self, cache: "BuildCache | None") -> "CheckedProgram":
-        from ..oclc import compile_source
-
-        try:
-            if cache is not None:
-                checked, _ = cache.frontend(self.source, self._defines)
-                return checked
-            return compile_source(self.source, self._defines)
-        except OclcError as exc:
-            raise BuildError(
-                f"front-end error: {exc}", device="<front-end>", log=str(exc)
-            ) from exc
 
     @classmethod
     def from_artifacts(

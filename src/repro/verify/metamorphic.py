@@ -36,7 +36,6 @@ from ..core.generator import generate
 from ..core.kernels import KERNELS, SCALAR_Q, initial_arrays
 from ..core.params import AccessPattern, KernelName, TuningParameters
 from ..core.runner import BenchmarkRunner, optimal_loop_for
-from ..devices.base import BuildOptions
 from ..ocl import CommandQueue, Context, Program
 from ..ocl.platform import find_device
 from ..oclc import compile_source_cached
@@ -108,9 +107,7 @@ def _device_latencies(
     checked = compile_source_cached(
         gen.source, {k: str(v) for k, v in gen.defines.items()}
     )
-    plan = device.model.build(
-        checked, BuildOptions(defines={k: str(v) for k, v in gen.defines.items()})
-    )
+    plan = device.model.build(checked)
     program = Program.from_artifacts(
         ctx,
         gen.source,

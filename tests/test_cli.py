@@ -124,24 +124,6 @@ class TestCommands:
         assert "[cached front-end]" in out
         assert "stage wall time:" in out
 
-    def test_sweep_no_cache(self, capsys):
-        code = main(
-            [
-                "sweep",
-                "--target",
-                "cpu",
-                "--axis",
-                "array_bytes=32KiB,64KiB",
-                "--ntimes",
-                "1",
-                "--no-cache",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "front-end 0 hit/0 miss" in out
-        assert "[cached front-end]" not in out
-
     def test_sweep_summary_reads_the_registry(self, capsys, tmp_path):
         args = ["sweep", "--target", "cpu", "--axis", "array_bytes=32KiB,64KiB",
                 "--ntimes", "1"]

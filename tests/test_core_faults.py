@@ -18,8 +18,10 @@ from repro.core import (
     TuningParameters,
     Watchdog,
     explore,
+    generate,
     point_fingerprint,
 )
+from repro.devices import XEON_E5_2609V2, CpuModel
 from repro.errors import (
     BenchmarkError,
     PointTimeoutError,
@@ -32,9 +34,25 @@ from repro.faults import (
     InjectedBuildFault,
     InjectedLaunchFault,
 )
+from repro.ocl.platform import Device
+from repro.ocl.program import BuildCache
 from repro.units import KIB
 
 SMALL = TuningParameters(array_bytes=32 * KIB)
+
+
+class _FlakyBuildCpu(CpuModel):
+    """A CPU model whose first device build is a transient flake."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.builds = 0
+
+    def build(self, checked):
+        self.builds += 1
+        if self.builds == 1:
+            raise InjectedBuildFault("toolchain flake", device="cpu")
+        return super().build(checked)
 
 
 @pytest.fixture
@@ -166,17 +184,27 @@ class TestRetry:
             ExecutionEngine("cpu", retries=-1)
 
     def test_transient_build_failure_not_cached(self):
-        # build=1.0 fails every attempt; a second engine sharing the
-        # cache but without faults must still build successfully — the
-        # cache must not have memoized the injected failure.
-        faulty = ExecutionEngine("cpu", ntimes=1,
-                                 faults=FaultPlan.parse("build=1.0"),
-                                 retries=0)
-        bad = faulty.run(SMALL)
-        assert not bad.ok and bad.failure_kind == "build"
-        clean = ExecutionEngine("cpu", ntimes=1, cache=faulty.cache)
-        good = clean.run(SMALL)
-        assert good.ok
+        # the model's first build is a toolchain flake: the build cache
+        # re-raises it without recording it, so the next request builds
+        # afresh instead of replaying the flake as a permanent failure
+        device = Device(_FlakyBuildCpu(XEON_E5_2609V2))
+        cache = BuildCache()
+        gen = generate(SMALL)
+        checked, _ = cache.frontend(gen.source, gen.defines)
+        with pytest.raises(InjectedBuildFault):
+            cache.plan(checked, device)
+        plan, hit = cache.plan(checked, device)
+        assert not hit and plan.ir.name == gen.kernel_name
+        assert device.model.builds == 2
+
+    def test_transient_build_failure_retried_with_a_fresh_build(self, no_backoff):
+        engine = ExecutionEngine(
+            Device(_FlakyBuildCpu(XEON_E5_2609V2)), ntimes=1, retries=1
+        )
+        result = engine.run(SMALL)
+        assert result.ok
+        assert result.detail["engine"]["attempts"] == 2
+        assert engine.device.model.builds == 2
 
 
 class TestWatchdog:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.devices.base import (
-    BuildOptions,
     Launch,
     domain_size,
     profile_accesses,
@@ -108,19 +107,13 @@ class TestProfiles:
 
 
 class TestBuildMachinery:
-    def test_build_options_merge(self):
-        opts = BuildOptions(defines={"A": "1"})
-        merged = opts.with_defines({"B": "2"})
-        assert merged.defines == {"A": "1", "B": "2"}
-        assert opts.defines == {"A": "1"}  # original untouched
-
     def test_plan_for_sibling_kernel(self, aocl_device):
         src = (
             "__kernel void k1(__global int *c) { for (int i = 0; i < 8; i++) c[i] = 1; }\n"
             "__kernel void k2(__global int *c) { size_t i = get_global_id(0); c[i] = 2; }"
         )
         checked = compile_source(src)
-        plan1 = aocl_device.model.build(checked, BuildOptions())
+        plan1 = aocl_device.model.build(checked)
         assert plan1.ir.name == "k1"
         plan2 = aocl_device.model.plan_for_kernel(plan1, "k2")
         assert plan2.ir.name == "k2"
@@ -155,8 +148,6 @@ class TestAccessCounts:
     def test_dot_timing_is_stream_class(self, aocl_device):
         """A reduction kernel's memory time must be driven by its two
         read streams, not by a phantom store-per-iteration."""
-        from repro.devices.base import BuildOptions, Launch
-
         src = (
             "__kernel void k(__global const double *a, __global const double *b,"
             " __global double *c) {"
@@ -166,7 +157,7 @@ class TestAccessCounts:
         )
         n = 1 << 18
         checked_dot = compile_source(src, {"N": str(n)})
-        plan = aocl_device.model.build(checked_dot, BuildOptions())
+        plan = aocl_device.model.build(checked_dot)
         launch = Launch(
             global_size=(1,), buffer_bytes={"a": 8 * n, "b": 8 * n, "c": 8}
         )
@@ -177,7 +168,7 @@ class TestAccessCounts:
             "{ for (int i = 0; i < N; i++) c[i] = a[i]; }"
         )
         checked_copy = compile_source(copy_src, {"N": str(n)})
-        plan_c = aocl_device.model.build(checked_copy, BuildOptions())
+        plan_c = aocl_device.model.build(checked_copy)
         t_copy = aocl_device.model.kernel_timing(
             plan_c, Launch(global_size=(1,), buffer_bytes={"a": 8 * n, "c": 8 * n})
         ).execution_s

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.devices import BuildOptions, Launch
+from repro.devices import Launch
 from repro.devices.fpga import (
     AoclModel,
     SdaccelModel,
@@ -38,7 +38,7 @@ def ir_of(src, defines=None):
 
 def bw(model, src, n_bytes, defines=None, n_items=1):
     checked = compile_source(src, defines)
-    plan = model.build(checked, BuildOptions())
+    plan = model.build(checked)
     launch = Launch(
         global_size=(n_items,), buffer_bytes={"a": n_bytes, "c": n_bytes}
     )
@@ -226,14 +226,14 @@ class TestVendorModels:
         )
         checked = compile_source(src)
         with pytest.raises(ResourceError):
-            model.build(checked, BuildOptions())
+            model.build(checked)
 
     def test_build_logs_explain_quirks(self):
         sd = SdaccelModel()
-        plan = sd.build(compile_source(FLAT_COPY, {"N": "64"}), BuildOptions())
+        plan = sd.build(compile_source(FLAT_COPY, {"N": "64"}))
         assert "burst" in plan.build_log.lower()
         ao = AoclModel()
-        plan = ao.build(compile_source(NDRANGE_COPY), BuildOptions())
+        plan = ao.build(compile_source(NDRANGE_COPY))
         assert "reqd_work_group_size" in plan.build_log
 
     def test_compute_units_replicate(self):
@@ -244,7 +244,7 @@ class TestVendorModels:
             "(__global const int *a, __global int *c)"
             "{ size_t i = get_global_id(0); c[i] = a[i]; }"
         )
-        plan = model.build(compile_source(src), BuildOptions())
+        plan = model.build(compile_source(src))
         assert plan.payload.compute_units == 4
         n = 4 * MIB
         launch = Launch(global_size=(n // 4,), buffer_bytes={"a": n, "c": n})

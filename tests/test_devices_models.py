@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.devices import BuildOptions, Launch
+from repro.devices import Launch
 from repro.devices.cpu import CpuModel
 from repro.devices.gpu import GpuModel
 from repro.devices.specs import GTX_TITAN_BLACK, XEON_E5_2609V2
@@ -23,7 +23,7 @@ FLAT_COPY = (
 
 def plan_and_launch(model, src, n_bytes, defines=None, n_items=None):
     checked = compile_source(src, defines)
-    plan = model.build(checked, BuildOptions())
+    plan = model.build(checked)
     n_words = n_bytes // 4
     launch = Launch(
         global_size=(n_items if n_items is not None else n_words,),
@@ -177,5 +177,5 @@ class TestGpuModel:
 
     def test_build_log_mentions_occupancy(self, model):
         checked = compile_source(NDRANGE_COPY)
-        plan = model.build(checked, BuildOptions())
+        plan = model.build(checked)
         assert "occupancy" in plan.build_log

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import figures
+from repro.obs import metrics as obs_metrics
 from repro.units import KIB, MIB
 
 # small sizes keep the functional simulation fast; shapes already hold
@@ -135,3 +136,19 @@ class TestTableAndExtras:
         entry = out["gpu"]
         assert entry["speedup"] > 1.0
         assert entry["breakeven_passes"] > 0
+
+
+class TestSharedBuildArtifacts:
+    def test_repeated_figure_rebuilds_nothing(self):
+        """Figure calls share one engine per target, so a repeated call
+        finds every program and plan the first one built."""
+        kwargs = dict(widths=(1, 2), targets=("cpu",), array_bytes=64 * KIB, ntimes=1)
+        first = figures.fig1b_vector_width(**kwargs)
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.use_registry(registry):
+            second = figures.fig1b_vector_width(**kwargs)
+        counters = registry.snapshot()["counters"]
+        assert second == first
+        assert counters.get("build_cache.frontend_misses", 0) == 0
+        assert counters.get("build_cache.plan_misses", 0) == 0
+        assert counters["build_cache.plan_hits"] == len(kwargs["widths"])
